@@ -128,6 +128,7 @@ double BenchSimStepsPerSec(uint32_t nsegments) {
 
 struct ReadResult {
   uint32_t block_size = 0;
+  uint64_t file_mb = 0;
   double coalesced_mb_s = 0.0;       // modeled Wren IV disk time
   double per_block_mb_s = 0.0;
   uint64_t coalesced_requests = 0;   // device reads issued per pass
@@ -145,8 +146,11 @@ ReadResult BenchSequentialRead(uint32_t block_size) {
                DiskModelParams::WrenIV());
   auto fs = LfsFileSystem::Mkfs(&disk, cfg).value();
 
-  const uint64_t file_bytes = 32ull << 20;
+  // 32 MB, or as many whole MB as the block tree addresses (16 MB with
+  // 1-KB blocks).
   std::vector<uint8_t> chunk(1 << 20);
+  const uint64_t file_bytes = std::min<uint64_t>(
+      32ull << 20, fs->superblock().max_file_bytes() / chunk.size() * chunk.size());
   Rng rng(11);
   for (auto& b : chunk) {
     b = static_cast<uint8_t>(rng.NextU64());
@@ -159,6 +163,7 @@ ReadResult BenchSequentialRead(uint32_t block_size) {
 
   ReadResult r;
   r.block_size = block_size;
+  r.file_mb = file_bytes >> 20;
   const double mb = static_cast<double>(file_bytes) / (1 << 20);
   std::vector<uint8_t> buf(file_bytes);
   const uint32_t bs = cfg.block_size;
@@ -215,11 +220,12 @@ int Main() {
   printf("  \"sequential_read\": [\n");
   for (size_t i = 0; i < reads.size(); i++) {
     const ReadResult& read = reads[i];
-    printf("    {\"file_mb\": 32, \"block_size\": %u, \"coalesced_mb_per_s\": %.2f, "
+    printf("    {\"file_mb\": %llu, \"block_size\": %u, \"coalesced_mb_per_s\": %.2f, "
            "\"per_block_mb_per_s\": %.2f, \"speedup\": %.2f, "
            "\"coalesced_requests_per_pass\": %llu, \"per_block_requests_per_pass\": %llu, "
            "\"coalesced_wall_mb_per_s\": %.1f, \"per_block_wall_mb_per_s\": %.1f}%s\n",
-           read.block_size, read.coalesced_mb_s, read.per_block_mb_s,
+           static_cast<unsigned long long>(read.file_mb), read.block_size,
+           read.coalesced_mb_s, read.per_block_mb_s,
            read.coalesced_mb_s / read.per_block_mb_s,
            static_cast<unsigned long long>(read.coalesced_requests),
            static_cast<unsigned long long>(read.per_block_requests),

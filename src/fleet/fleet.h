@@ -15,8 +15,8 @@
 //     ->  quota (block/inode budgets; kNoSpace on exhaustion)
 //       ->  the volume's LfsFileSystem, under the tenant's namespace root
 //
-// The front door is synchronous and thread-safe (volumes should be mounted
-// with LfsConfig::concurrent when called from multiple threads); the
+// The front door is synchronous and thread-safe (LfsConfig::concurrent
+// tunes a volume for multi-threaded callers); the
 // deterministic event-loop scheduler in event_loop.h layers simulated-time
 // queueing, backpressure ordering, and latency measurement on top of it.
 //

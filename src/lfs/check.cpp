@@ -306,6 +306,11 @@ Status Checker::CheckInodesAndFiles() {
     } else {
       report_.files++;
     }
+    if (inode.size > sb_.max_file_bytes()) {
+      Error("inode.size_out_of_range", who + ": size " + std::to_string(inode.size) +
+            " exceeds what its block tree addresses");
+      continue;
+    }
 
     // Walk the block tree.
     uint64_t nblocks = (inode.size + sb_.block_size - 1) / sb_.block_size;
@@ -394,7 +399,8 @@ Status Checker::CheckDirectoryTree() {
       continue;
     }
     Result<Inode> inode = ReadInode(dir);
-    if (!inode.ok() || inode->type != FileType::kDirectory) {
+    if (!inode.ok() || inode->type != FileType::kDirectory ||
+        inode->size > sb_.max_file_bytes()) {
       continue;  // already reported by CheckInodesAndFiles
     }
     // Read the directory contents block by block through the inode tree.

@@ -143,42 +143,25 @@ struct LfsConfig {
   // cached inode blocks (each holds ~25 inodes that roll-forward revisits).
   uint32_t read_cache_blocks = 2048;
 
-  // Concurrent front-end (off by default so single-threaded runs stay
-  // byte-for-byte deterministic). When true the filesystem may be called
-  // from multiple threads: operations run under a *shared* filesystem lock
-  // plus striped per-inode locks, mutators join an open group-commit
-  // transaction (xv6-style BeginOp/EndOp counting), and a single committer
-  // per batch takes the filesystem lock exclusively to flush the staged
-  // blocks to the segment writer. A background cleaner thread handles the
-  // clean-segment watermark instead of the foreground write path, which
-  // only cleans synchronously once clean segments fall to the critical
-  // floor (Section 4's sketch of Sprite LFS's kernel cleaner running "in
-  // the background when the disk is idle").
+  // Tuning for callers on several threads. Every operation is thread-safe
+  // either way: all callers share one group-commit front end, and a lone
+  // caller is a transaction of one op. Setting this has two effects:
+  //   - Mkfs/Mount start a background cleaner thread; the foreground write
+  //     path then only cleans synchronously once clean segments fall to the
+  //     critical floor (Section 4's sketch of Sprite LFS's kernel cleaner
+  //     running "in the background when the disk is idle");
+  //   - the clean-block read cache splits into 16 independently locked LRU
+  //     stripes, so concurrent readers do not funnel through one cache lock.
+  // Off by default: with no cleaner thread a single caller's run is
+  // deterministic, and one LRU keeps the eviction order the figure benches
+  // were measured with.
   bool concurrent = false;
 
-  // Concurrent-mode tunables (ignored when concurrent == false).
-  //
   // Stripe count for the per-inode lock table and the in-memory inode-table
   // / dirty-block shards (rounded up to a power of two). More stripes means
   // fewer false lock collisions between unrelated inodes at the cost of a
   // few KB of mutexes.
   uint32_t inode_shards = 64;
-
-  // Group commit: at most this many mutators may join one open transaction
-  // before BeginOp blocks; bounds both the commit batch and how long the
-  // committer waits for stragglers to drain.
-  uint32_t txn_max_ops = 64;
-
-  // Worst-case staged log blocks one open transaction may reserve before
-  // further BeginOp calls wait for a commit. 0 means 4 * write_buffer_blocks.
-  uint32_t txn_max_staged_blocks = 0;
-
-  // Stripe count for the clean-block read cache (rounded up to a power of
-  // two). Each stripe is an independent LRU behind its own mutex, selected
-  // by block address, so concurrent read traffic doesn't funnel through one
-  // cache lock. The single-threaded regime always uses one stripe, keeping
-  // its lookup and eviction order byte-identical to the unsharded cache.
-  uint32_t read_cache_shards = 16;
 };
 
 }  // namespace lfs

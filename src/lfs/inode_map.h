@@ -12,7 +12,7 @@
 // version) uniquely identifies file contents and lets the cleaner discard
 // dead blocks without reading the inode (Section 3.3).
 //
-// Concurrency: the map synchronizes itself so the concurrent front-end can
+// Concurrency: the map synchronizes itself so the filesystem front end can
 // call it under the filesystem's *shared* lock. An internal reader-writer
 // lock guards the entry array's structure (it grows with the allocation
 // high-water mark); lookups and the atime bump take it shared, every
@@ -136,8 +136,8 @@ class InodeMap {
   uint64_t allocated_count_ = 0;
 };
 
-// InodeLockTable: striped per-inode reader-writer locks for the concurrent
-// front-end. The stripe for an inode is ino % nstripes; colliding inodes
+// InodeLockTable: striped per-inode reader-writer locks for the filesystem
+// front end. The stripe for an inode is ino % nstripes; colliding inodes
 // simply share a stripe (serialization, never incorrectness). Operations
 // that need several inodes (rename, link, unlink-into, ...) must acquire
 // stripes in ascending stripe order — InodeLockSet does exactly that — so
@@ -165,75 +165,51 @@ class InodeLockTable {
 // RAII guard over up to four inode stripes (rename touches at most
 // from-dir, to-dir, the moved inode, and a replaced target). Stripes are
 // deduplicated and locked in ascending index order; all shared or all
-// exclusive. A null table makes the guard a no-op, which is how the
-// single-threaded regime compiles the locking out of its paths.
+// exclusive.
 class InodeLockSet {
  public:
-  InodeLockSet() = default;
-  InodeLockSet(InodeLockTable* table, std::initializer_list<InodeNum> inos, bool exclusive)
+  InodeLockSet(InodeLockTable& table, std::initializer_list<InodeNum> inos, bool exclusive)
       : table_(table), exclusive_(exclusive) {
-    if (table_ == nullptr) {
-      return;
-    }
     for (InodeNum ino : inos) {
-      uint32_t s = table_->StripeOf(ino);
-      bool dup = false;
-      for (int i = 0; i < n_; i++) {
-        dup = dup || stripes_[i] == s;
+      // Insertion into the ascending stripe list, dropping duplicates.
+      uint32_t s = table_.StripeOf(ino);
+      int i = 0;
+      while (i < n_ && stripes_[i] < s) {
+        i++;
       }
-      if (!dup) {
-        stripes_[n_++] = s;
+      if (i < n_ && stripes_[i] == s) {
+        continue;
       }
+      for (int j = n_; j > i; j--) {
+        stripes_[j] = stripes_[j - 1];
+      }
+      stripes_[i] = s;
+      n_++;
     }
-    std::sort(stripes_, stripes_ + n_);
     for (int i = 0; i < n_; i++) {
       if (exclusive_) {
-        table_->Stripe(stripes_[i]).lock();
+        table_.Stripe(stripes_[i]).lock();
       } else {
-        table_->Stripe(stripes_[i]).lock_shared();
+        table_.Stripe(stripes_[i]).lock_shared();
       }
     }
-    locked_ = true;
-  }
-
-  InodeLockSet(InodeLockSet&& o) noexcept { *this = std::move(o); }
-  InodeLockSet& operator=(InodeLockSet&& o) noexcept {
-    Release();
-    table_ = o.table_;
-    exclusive_ = o.exclusive_;
-    n_ = o.n_;
-    locked_ = o.locked_;
-    for (int i = 0; i < n_; i++) {
-      stripes_[i] = o.stripes_[i];
-    }
-    o.table_ = nullptr;
-    o.locked_ = false;
-    o.n_ = 0;
-    return *this;
   }
   InodeLockSet(const InodeLockSet&) = delete;
   InodeLockSet& operator=(const InodeLockSet&) = delete;
 
-  ~InodeLockSet() { Release(); }
-
-  void Release() {
-    if (table_ == nullptr || !locked_) {
-      return;
-    }
+  ~InodeLockSet() {
     for (int i = n_ - 1; i >= 0; i--) {
       if (exclusive_) {
-        table_->Stripe(stripes_[i]).unlock();
+        table_.Stripe(stripes_[i]).unlock();
       } else {
-        table_->Stripe(stripes_[i]).unlock_shared();
+        table_.Stripe(stripes_[i]).unlock_shared();
       }
     }
-    locked_ = false;
   }
 
  private:
-  InodeLockTable* table_ = nullptr;
-  bool exclusive_ = false;
-  bool locked_ = false;
+  InodeLockTable& table_;
+  const bool exclusive_;
   int n_ = 0;
   uint32_t stripes_[4] = {0, 0, 0, 0};
 };

@@ -99,6 +99,13 @@ struct Superblock {
   uint32_t imap_entries_per_chunk() const { return block_size / kImapEntrySize; }
   uint32_t usage_entries_per_chunk() const { return block_size / kUsageEntrySize; }
   uint32_t pointers_per_block() const { return block_size / 8; }
+  // Largest file size the inode's block tree can address: the direct
+  // pointers, one single-indirect block, and a double-indirect block of
+  // single-indirect blocks.
+  uint64_t max_file_bytes() const {
+    uint64_t ppb = pointers_per_block();
+    return (kNumDirect + (1 + ppb) * ppb) * block_size;
+  }
   // Maximum payload blocks a single partial-segment write can describe.
   uint32_t max_summary_entries() const {
     return (block_size - kSummaryHeaderSize) / kSummaryEntrySize;

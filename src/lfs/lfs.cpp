@@ -10,6 +10,11 @@
 
 namespace lfs {
 
+namespace {
+// Read-cache stripes under cfg.concurrent (a power of two).
+constexpr uint32_t kReadCacheStripes = 16;
+}  // namespace
+
 LfsFileSystem::LfsFileSystem(BlockDevice* device, const LfsConfig& cfg, const Superblock& sb)
     : device_(device),
       cfg_(cfg),
@@ -19,28 +24,21 @@ LfsFileSystem::LfsFileSystem(BlockDevice* device, const LfsConfig& cfg, const Su
       usage_(sb.nsegments, sb.segment_bytes(), sb.usage_entries_per_chunk()),
       writer_(device, &sb_, &usage_, &stats_, cfg.reserve_segments, &clock_,
               retry_policy_, &obs_, cfg.num_logs),
+      // A transaction may reserve four write buffers' worth of worst-case
+      // log blocks before further mutators wait for its commit.
+      txn_(4 * uint64_t{cfg.write_buffer_blocks}),
       ilocks_(cfg.inode_shards),
       debug_cleaner_(getenv("LFS_DEBUG_CLEANER") != nullptr) {
-  // The in-memory tables shard to the stripe count in the concurrent regime;
-  // the single-threaded regime keeps one shard, i.e. the same two maps as
-  // before the sharding work.
-  uint32_t nshards = cfg_.concurrent ? ilocks_.nstripes() : 1;
-  shard_mask_ = nshards - 1;
-  itable_ = std::vector<InodeTableShard>(nshards);
-  dirty_shards_ = std::vector<DirtyShard>(nshards);
-  uint32_t rc_nshards = 1;
-  if (cfg_.concurrent) {
-    rc_nshards = std::max<uint32_t>(1, cfg_.read_cache_shards);
-    while (rc_nshards & (rc_nshards - 1)) ++rc_nshards;
-  }
+  // The in-memory tables shard like the inode lock stripes.
+  shard_mask_ = ilocks_.nstripes() - 1;
+  itable_ = std::vector<InodeTableShard>(ilocks_.nstripes());
+  dirty_shards_ = std::vector<DirtyShard>(ilocks_.nstripes());
+  uint32_t rc_nshards = cfg_.concurrent ? kReadCacheStripes : 1;
   rc_shard_mask_ = rc_nshards - 1;
   rc_shard_cap_ = cfg_.read_cache_blocks == 0
                       ? 0
                       : std::max<uint32_t>(1, cfg_.read_cache_blocks / rc_nshards);
   read_cache_shards_ = std::vector<ReadCacheShard>(rc_nshards);
-  txn_.Configure(cfg_.txn_max_ops, cfg_.txn_max_staged_blocks != 0
-                                       ? cfg_.txn_max_staged_blocks
-                                       : 4 * cfg_.write_buffer_blocks);
   governor_.Configure(cfg_);
   qos_.Configure(cfg_.cleaner_qos_bytes_per_sec, cfg_.cleaner_qos_burst_sec);
 }
@@ -98,9 +96,7 @@ void LfsFileSystem::EnterDegradedReadOnly(const char* why) {
 }
 
 LfsStatFs LfsFileSystem::StatFs() const {
-  if (cfg_.concurrent) {
-    txn_.WaitNotCommitting();
-  }
+  txn_.WaitNotCommitting();
   std::shared_lock<std::shared_mutex> lock(fs_mu_);
   LfsStatFs out;
   out.total_bytes = uint64_t{sb_.nsegments} * sb_.segment_bytes();
@@ -812,11 +808,9 @@ Status LfsFileSystem::Unmount() {
 }
 
 Result<FileStat> LfsFileSystem::Stat(InodeNum ino) {
-  if (cfg_.concurrent) {
-    txn_.WaitNotCommitting();
-  }
+  txn_.WaitNotCommitting();
   std::shared_lock<std::shared_mutex> lock(fs_mu_);
-  InodeLockSet il(LockTable(), {ino}, /*exclusive=*/false);
+  InodeLockSet il(ilocks_, {ino}, /*exclusive=*/false);
   LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(ino));
   FileStat st;
   st.ino = ino;
@@ -841,11 +835,9 @@ Result<uint32_t> LfsFileSystem::ForceClean() {
 }
 
 Result<std::vector<BlockNo>> LfsFileSystem::FileBlockAddresses(InodeNum ino) {
-  if (cfg_.concurrent) {
-    txn_.WaitNotCommitting();
-  }
+  txn_.WaitNotCommitting();
   std::shared_lock<std::shared_mutex> lock(fs_mu_);
-  InodeLockSet il(LockTable(), {ino}, /*exclusive=*/false);
+  InodeLockSet il(ilocks_, {ino}, /*exclusive=*/false);
   LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(ino));
   return fm->blocks;
 }

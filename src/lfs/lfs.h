@@ -103,17 +103,10 @@ class LfsFileSystem : public FileSystem {
 
   // --- threading model -----------------------------------------------------------
   //
-  // Two regimes, selected by cfg.concurrent:
-  //
-  // Single-threaded (concurrent == false): mutations take fs_mu_ exclusive,
-  // reads shared, exactly as before the group-commit work — every path,
-  // flush cadence, and on-disk byte is unchanged, keeping the figure
-  // benches deterministic. The per-inode lock guards compile to no-ops.
-  //
-  // Concurrent (concurrent == true): fs_mu_ is demoted to protecting only
-  // truly global transitions — batch commit, checkpointing, segment
-  // allocation/cleaning, mount/unmount — and *every* file operation runs
-  // under it SHARED. Isolation between operations comes from striped
+  // One front end serves every caller, on one thread or many. fs_mu_
+  // protects only truly global transitions — batch commit, checkpointing,
+  // segment allocation/cleaning, mount/unmount — and *every* file operation
+  // runs under it SHARED. Isolation between operations comes from striped
   // per-inode reader-writer locks (ilocks_): readers take their inode's
   // stripe shared, mutators exclusive, and multi-inode ops (rename, link)
   // acquire all involved stripes in ascending stripe order (InodeLockSet)
@@ -122,8 +115,10 @@ class LfsFileSystem : public FileSystem {
   // worst-case log space, stage dirty blocks into sharded write buffers,
   // and the last op out of a transaction whose buffer crossed the flush
   // threshold becomes the committer — CommitBatch() takes fs_mu_ exclusive
-  // and flushes the whole batch while the next transaction opens. Readers
-  // poll txn_.WaitNotCommitting() before locking so a committer is never
+  // and flushes the whole batch while the next transaction opens. A lone
+  // caller is a transaction of one op: it commits exactly when the staged
+  // count reaches the write-buffer size. Readers poll
+  // txn_.WaitNotCommitting() before locking so a committer is never
   // starved. Shared in-memory state is sharded or internally synchronized:
   // the inode table (loaded FileMaps/DirCaches) and the dirty-block buffer
   // are sharded by inode, the inode map and segment-usage table carry
@@ -136,10 +131,10 @@ class LfsFileSystem : public FileSystem {
   //               InodeMap::mu_ | SegUsage::mu_ | SegmentWriter log mu
   //           ->  device mutexes (SimDisk / MemDisk / BlockCache shards)
   //
-  // Path resolution in concurrent mode locks one directory stripe (shared)
-  // at a time and re-verifies the final components under the op's inode
-  // locks, retrying if a concurrent rename/unlink moved them — whole-path
-  // races keep POSIX last-writer-wins semantics.
+  // Path resolution locks one directory stripe (shared) at a time and
+  // re-verifies the final components under the op's inode locks, retrying
+  // if a concurrent rename/unlink moved them — whole-path races keep POSIX
+  // last-writer-wins semantics.
   //
   // With cfg.concurrent set, Mkfs/Mount also start a background cleaner
   // thread; MaybeClean then only cleans synchronously below the critical
@@ -278,11 +273,10 @@ class LfsFileSystem : public FileSystem {
   // can no longer persist a checkpoint); every later mutation is refused.
   void EnterDegradedReadOnly(const char* why);
 
-  // Lock-free bodies of the public checkpoint/lookup entry points, for
-  // internal callers that already hold fs_mu_ (fs_mu_ is not recursive).
+  // Lock-free bodies of the public checkpoint entry points, for internal
+  // callers that already hold fs_mu_ (fs_mu_ is not recursive).
   Status WriteCheckpointImpl();
   Status LightCheckpointImpl();
-  Result<InodeNum> LookupImpl(std::string_view path);
 
   Status LoadFromCheckpoint(const Checkpoint& ck);
   Status WriteCheckpointRegion();
@@ -340,7 +334,6 @@ class LfsFileSystem : public FileSystem {
   Status FlushDirtyDataInner();
   Status FlushDirLog();
   Status FlushFileMetadata();        // dirty indirect blocks + inode blocks
-  Status MaybeFlush();               // flush when the write buffer fills
   Status CheckWritable() const;      // kReadOnly on read-only mounts
   Status MaybeAutoCheckpoint();
   Status EnsureSpaceForWrite(uint64_t new_blocks);
@@ -348,15 +341,12 @@ class LfsFileSystem : public FileSystem {
     return (size + sb_.block_size - 1) / sb_.block_size;
   }
 
-  // --- group commit / concurrent front-end (lfs_io.cpp) ---
+  // --- group commit front end (lfs_io.cpp) ---
 
-  // The per-inode lock table, compiled out of the single-threaded regime by
-  // handing InodeLockSet a null table.
-  InodeLockTable* LockTable() { return cfg_.concurrent ? &ilocks_ : nullptr; }
-  // The ISSUE's two-inode ordering helper: both stripes exclusive, ascending
-  // stripe order (rename/link paths; same-stripe pairs collapse to one).
+  // Two-inode ordering helper: both stripes exclusive, ascending stripe
+  // order (rename/link paths; same-stripe pairs collapse to one).
   InodeLockSet LockInodePair(InodeNum a, InodeNum b) {
-    return InodeLockSet(LockTable(), {a, b}, /*exclusive=*/true);
+    return InodeLockSet(ilocks_, {a, b}, /*exclusive=*/true);
   }
   // RAII for global exclusive sections (commit, checkpoint, cleaner pass,
   // unmount): closes the group-commit transaction gate — draining in-flight
@@ -365,16 +355,12 @@ class LfsFileSystem : public FileSystem {
   class ExclusiveSection {
    public:
     explicit ExclusiveSection(LfsFileSystem* fs) : fs_(fs) {
-      if (fs_->cfg_.concurrent) {
-        fs_->txn_.BeginCommit();
-      }
+      fs_->txn_.BeginCommit();
       lock_ = std::unique_lock<std::shared_mutex>(fs_->fs_mu_);
     }
     ~ExclusiveSection() {
       lock_.unlock();
-      if (fs_->cfg_.concurrent) {
-        fs_->txn_.EndCommit();
-      }
+      fs_->txn_.EndCommit();
     }
     ExclusiveSection(const ExclusiveSection&) = delete;
     ExclusiveSection& operator=(const ExclusiveSection&) = delete;
@@ -389,13 +375,34 @@ class LfsFileSystem : public FileSystem {
   Status CommitBatch();
   // Evicts clean FileMaps past the cache cap (caller holds fs_mu_ exclusive).
   void TrimFileCache();
-  // Lock-free cleaner nudge for the concurrent mutation path (EndOp sites).
+  // Lock-free cleaner nudge for the mutation path (EndOp sites).
   void MaybeKickCleaner();
-  // Stages one bounded slice of a write under fs_mu_ shared + the inode's
-  // stripe exclusive; never flushes (the group commit does).
-  Status WriteAtSlice(InodeNum ino, uint64_t offset, std::span<const uint8_t> data);
-  Status WriteAtConcurrent(InodeNum ino, uint64_t offset, std::span<const uint8_t> data);
-  // Truncate body without the flush tail, shared by both regimes.
+  // Runs one mutation as an op of the open group-commit transaction: joins
+  // it reserving `reserve` worst-case log blocks, runs `body` under fs_mu_
+  // shared once CheckWritable passes (body takes its own inode stripes),
+  // then leaves through EndMutation. Returns body's status unless the
+  // commit itself failed.
+  template <typename Body>
+  Status RunMutation(uint64_t reserve, Body&& body) {
+    txn_.BeginOp(reserve);
+    Status st;
+    {
+      std::shared_lock<std::shared_mutex> lock(fs_mu_);
+      st = CheckWritable();
+      if (st.ok()) {
+        st = body();
+      }
+    }
+    return EndMutation(reserve, st);
+  }
+  // Stages one slice of WriteAt(ino, offset, data), from *pos up to the
+  // block that fills the write buffer, advancing *pos. The write's first
+  // slice also stamps mtime and checks space for the whole write's growth.
+  // Caller holds fs_mu_ shared, the inode's stripe exclusive, and an open
+  // transaction; never flushes (the group commit does).
+  Status WriteAtSlice(InodeNum ino, uint64_t offset, std::span<const uint8_t> data,
+                      bool first, uint64_t* pos);
+  // Truncate body; caller holds the inode's stripe exclusive.
   Status TruncateLocked(InodeNum ino, uint64_t new_size);
 
   // --- sharded in-memory tables ---
@@ -429,36 +436,37 @@ class LfsFileSystem : public FileSystem {
   bool CopyDirtyBlock(InodeNum ino, uint64_t fbn, std::span<uint8_t> out) const;
   bool HaveDirtyBlock(InodeNum ino, uint64_t fbn) const;
   void EraseDirtyBlock(InodeNum ino, uint64_t fbn);
-  // Merges all shards into one (ino, fbn)-ordered batch and empties them —
-  // the exact iteration order the unsharded buffer used to flush in.
+  // Merges all shards into one (ino, fbn)-ordered batch and empties them,
+  // so the flush order does not depend on the shard count.
   std::map<std::pair<InodeNum, uint64_t>, std::vector<uint8_t>> TakeDirtyBatch();
   void MarkInodeDirty(InodeNum ino);
   // Snapshots-and-clears the dirty-inode set (flush path, fs_mu_ exclusive).
   std::set<InodeNum> TakeDirtyInodes();
 
-  // Closes out a concurrent mutation: drops the op from the open transaction
-  // (EndOp), runs CommitBatch if this op drew the committer token, and nudges
-  // the background cleaner. Returns `st` unless the commit itself failed.
-  Status EndMutation(Status st);
+  // Closes out a mutation: drops the op and its `reserved` blocks from the
+  // open transaction (EndOp), runs CommitBatch if this op drew the committer
+  // token, and nudges the background cleaner. Returns `st` unless the commit
+  // itself failed.
+  Status EndMutation(uint64_t reserved, Status st);
 
   // --- namespace (lfs_namespace.cpp) ---
 
   Result<DirCache*> GetDirCache(InodeNum dir_ino);
   Result<InodeNum> LookupInDir(InodeNum dir_ino, std::string_view name);
-  // Concurrent-regime path resolution: walks one component at a time taking
-  // only that directory's stripe (shared) for the lookup, holding zero
-  // stripes between components — so resolution can never deadlock with an
-  // op's ordered multi-stripe acquisition. Callers re-verify the final
-  // component under their op's locks and retry if it moved (POSIX
-  // last-writer-wins for whole-path races).
+  // Path resolution: walks one component at a time taking only that
+  // directory's stripe (shared) for the lookup, holding zero stripes
+  // between components — so resolution can never deadlock with an op's
+  // ordered multi-stripe acquisition. Callers re-verify the final component
+  // under their op's locks and retry if it moved (POSIX last-writer-wins
+  // for whole-path races).
   Result<InodeNum> LookupInDirTransient(InodeNum dir_ino, std::string_view name);
-  Result<InodeNum> WalkPathConcurrent(std::string_view path);
-  Result<InodeNum> ResolveDirConcurrent(std::string_view path);
-  Result<std::pair<InodeNum, std::string>> ResolveParentConcurrent(std::string_view path);
-  // Namespace op tails, shared by both regimes. Single-threaded: caller
-  // holds fs_mu_ exclusive. Concurrent: caller holds fs_mu_ shared plus the
-  // involved inode stripes exclusive (ascending order), with the final
-  // path components re-verified under those stripes.
+  Result<InodeNum> WalkPath(std::string_view path);
+  // The parent directory of `path` (which must be a directory) and the
+  // final component.
+  Result<std::pair<InodeNum, std::string>> ResolveParent(std::string_view path);
+  // Namespace op tails: the caller holds fs_mu_ shared plus the involved
+  // inode stripes exclusive (ascending order), with the final path
+  // components re-verified under those stripes.
   Result<InodeNum> CreateLocked(InodeNum dir_ino, const std::string& name,
                                 std::string_view path);
   Status MkdirLocked(InodeNum dir_ino, const std::string& name, std::string_view path);
@@ -466,6 +474,11 @@ class LfsFileSystem : public FileSystem {
                       std::string_view path);
   Status RmdirLocked(InodeNum dir_ino, const std::string& name, InodeNum ino,
                      std::string_view path);
+  // Unlink/Rmdir body: resolves `path`'s entry, locks its directory and
+  // target (lock-and-verify), and runs `tail` on them.
+  using RemoveTail = Status (LfsFileSystem::*)(InodeNum dir_ino, const std::string& name,
+                                                InodeNum ino, std::string_view path);
+  Status RemoveEntry(std::string_view path, RemoveTail tail);
   Status LinkLocked(InodeNum ino, InodeNum dir_ino, const std::string& name,
                     std::string_view link_path);
   Status RenameLocked(InodeNum from_dir, const std::string& from_name, InodeNum ino,
@@ -473,8 +486,6 @@ class LfsFileSystem : public FileSystem {
   Status AddDirEntry(InodeNum dir_ino, const DirEntry& entry);
   Status RemoveDirEntry(InodeNum dir_ino, std::string_view name);
   Status WriteDirBlock(InodeNum dir_ino, uint64_t fbn);
-  Result<InodeNum> ResolveDir(std::string_view path);  // path must be a directory
-  Result<std::pair<InodeNum, std::string>> ResolveParent(std::string_view path);
   Status DeleteFileContents(InodeNum ino);  // frees all blocks + the inode
   void LogDirOp(DirLogRecord record);
 
@@ -579,8 +590,7 @@ class LfsFileSystem : public FileSystem {
   CleanerGovernor governor_;  // adaptive policy switching (cfg.adaptive_cleaning)
   CleanerQos qos_;            // cleaner copy-I/O token bucket (cfg.cleaner_qos_*)
 
-  // Group-commit transaction gate + striped per-inode locks (concurrent
-  // regime; the gate is configured but unused when concurrent == false).
+  // Group-commit transaction gate + striped per-inode locks.
   GroupCommit txn_;
   InodeLockTable ilocks_;
   uint32_t shard_mask_ = 0;  // itable_/dirty_shards_ size - 1 (power of two)
@@ -600,9 +610,9 @@ class LfsFileSystem : public FileSystem {
   // The clean-block read cache is striped: each shard is an independent
   // LRU (map + recency list) behind its own leaf mutex, selected by block
   // address, so concurrent readers on different stripes never contend on
-  // one cache lock. The single-threaded regime uses exactly one shard with
-  // the full capacity — the identical map, identical eviction order, and
-  // identical device-read sequence as the pre-sharding cache.
+  // one cache lock. Without cfg_.concurrent there is one shard with the
+  // full capacity, so a single caller's evictions, and with them its
+  // device reads, do not depend on how addresses hash to stripes.
   struct ReadCacheShard {
     mutable std::mutex mu;
     std::unordered_map<BlockNo, ReadCacheEntry> map;

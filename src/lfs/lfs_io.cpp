@@ -6,11 +6,9 @@
 // inodes that point at them. That ordering is what makes roll-forward sound:
 // an inode found in the log always describes data already in the log.
 //
-// Two mutation front-ends share that machinery (see the threading-model note
-// in lfs.h): the single-threaded regime stages and flushes inline under the
-// exclusive filesystem lock, while the concurrent regime stages under the
-// shared lock + per-inode stripes inside a group-commit transaction and
-// leaves flushing to the batch committer (CommitBatch).
+// Mutations stage under the shared lock + per-inode stripes inside a
+// group-commit transaction and leave flushing to the batch committer
+// (CommitBatch); see the threading-model note in lfs.h.
 
 #include <algorithm>
 #include <cassert>
@@ -24,8 +22,11 @@
 namespace lfs {
 
 namespace {
-// FileMap/DirCache entries kept before MaybeFlush starts evicting clean ones.
+// FileMap/DirCache entries kept before a commit starts evicting clean ones.
 constexpr size_t kFileCacheCap = 16384;
+// Worst-case log reservation of a truncate: the boundary block plus the
+// indirect/inode touch-up.
+constexpr uint64_t kTruncateReserve = 4;
 }  // namespace
 
 bool LfsFileSystem::ReadCacheGet(BlockNo addr, std::span<uint8_t> out) const {
@@ -329,6 +330,10 @@ Result<LfsFileSystem::FileMap*> LfsFileSystem::GetFileMap(InodeNum ino) {
 }
 
 Result<LfsFileSystem::FileMap> LfsFileSystem::LoadFileMap(const Inode& inode) const {
+  if (inode.size > sb_.max_file_bytes()) {
+    return CorruptionError("inode " + std::to_string(inode.ino) + " size " +
+                           std::to_string(inode.size) + " exceeds what its block tree addresses");
+  }
   FileMap fm;
   fm.inode = inode;
   uint64_t nblocks = BlockCountFor(inode.size);
@@ -486,141 +491,88 @@ Status LfsFileSystem::CheckWritable() const {
 }
 
 Status LfsFileSystem::WriteAt(InodeNum ino, uint64_t offset, std::span<const uint8_t> data) {
-  if (cfg_.concurrent) {
-    return WriteAtConcurrent(ino, offset, data);
-  }
-  std::unique_lock<std::shared_mutex> lock(fs_mu_);
-  obs::ScopedOpTimer op_timer(&obs_, obs::OpType::kWrite, device_, &clock_, ino);
-  LFS_RETURN_IF_ERROR(CheckWritable());
-  if (data.empty()) {
-    return OkStatus();
-  }
-  LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(ino));
-  if (fm->inode.type == FileType::kDirectory) {
-    return IsADirectoryError("cannot write directly to a directory");
-  }
-  const uint32_t bs = sb_.block_size;
-  uint64_t end = offset + data.size();
-  uint64_t old_blocks = fm->blocks.size();
-  uint64_t new_blocks_total = std::max(old_blocks, BlockCountFor(end));
-  LFS_RETURN_IF_ERROR(EnsureSpaceForWrite(new_blocks_total - old_blocks));
-  LFS_RETURN_IF_ERROR(GrowFileMap(fm, new_blocks_total));
-
-  // Mark the inode dirty up front: the incremental flushes below must never
-  // consider this file clean (and thus evictable) mid-write.
-  fm->inode.mtime = clock_.Tick();
-  fm->inode_dirty = true;
-  MarkInodeDirty(ino);
-
-  uint64_t pos = offset;
-  size_t src = 0;
-  while (pos < end) {
-    uint64_t fbn = pos / bs;
-    uint32_t in_block = static_cast<uint32_t>(pos % bs);
-    uint32_t chunk = static_cast<uint32_t>(std::min<uint64_t>(bs - in_block, end - pos));
-    std::vector<uint8_t> block(bs);
-    if (chunk != bs) {
-      // Partial-block write: read-modify-write against cache or disk.
-      LFS_RETURN_IF_ERROR(ReadFileBlock(fm, ino, fbn, block));
-    }
-    std::memcpy(block.data() + in_block, data.data() + src, chunk);
-    StoreDirtyBlock(ino, fbn, std::move(block));
-    pos += chunk;
-    src += chunk;
-    fm->inode.size = std::max(fm->inode.size, pos);
-    // Flush as the write buffer fills, so a single large write streams
-    // through segment-sized batches (and the cleaner can keep pace) instead
-    // of accumulating the whole request in memory.
-    LFS_RETURN_IF_ERROR(MaybeFlush());
-  }
-  return OkStatus();
-}
-
-// Stages one bounded slice of a write. Caller holds fs_mu_ shared, the
-// inode's stripe exclusive, and an open transaction (BeginOp).
-Status LfsFileSystem::WriteAtSlice(InodeNum ino, uint64_t offset,
-                                   std::span<const uint8_t> data) {
-  LFS_RETURN_IF_ERROR(CheckWritable());
-  LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(ino));
-  if (fm->inode.type == FileType::kDirectory) {
-    return IsADirectoryError("cannot write directly to a directory");
-  }
-  const uint32_t bs = sb_.block_size;
-  uint64_t end = offset + data.size();
-  uint64_t old_blocks = fm->blocks.size();
-  uint64_t new_blocks_total = std::max(old_blocks, BlockCountFor(end));
-  LFS_RETURN_IF_ERROR(EnsureSpaceForWrite(new_blocks_total - old_blocks));
-  LFS_RETURN_IF_ERROR(GrowFileMap(fm, new_blocks_total));
-
-  fm->inode.mtime = clock_.Tick();
-  fm->inode_dirty = true;
-  MarkInodeDirty(ino);
-
-  uint64_t pos = offset;
-  size_t src = 0;
-  while (pos < end) {
-    uint64_t fbn = pos / bs;
-    uint32_t in_block = static_cast<uint32_t>(pos % bs);
-    uint32_t chunk = static_cast<uint32_t>(std::min<uint64_t>(bs - in_block, end - pos));
-    std::vector<uint8_t> block(bs);
-    if (chunk != bs) {
-      LFS_RETURN_IF_ERROR(ReadFileBlock(fm, ino, fbn, block));
-    }
-    std::memcpy(block.data() + in_block, data.data() + src, chunk);
-    StoreDirtyBlock(ino, fbn, std::move(block));
-    pos += chunk;
-    src += chunk;
-    fm->inode.size = std::max(fm->inode.size, pos);
-  }
-  return OkStatus();
-}
-
-Status LfsFileSystem::WriteAtConcurrent(InodeNum ino, uint64_t offset,
-                                        std::span<const uint8_t> data) {
   obs::ScopedOpTimer op_timer(&obs_, obs::OpType::kWrite, device_, &clock_, ino);
   if (data.empty()) {
     txn_.WaitNotCommitting();
     std::shared_lock<std::shared_mutex> lock(fs_mu_);
     return CheckWritable();
   }
-  const uint32_t bs = sb_.block_size;
-  // Slice large writes so one request never stages more than a buffer's
-  // worth of blocks while holding a transaction open; the group commit
-  // between slices is what lets a huge write stream through segment-sized
-  // batches, exactly like the single-threaded MaybeFlush cadence.
-  const uint64_t slice_bytes =
-      std::max<uint64_t>(uint64_t{cfg_.write_buffer_blocks} * bs, bs);
+  const uint64_t max_bytes = sb_.max_file_bytes();
+  if (offset > max_bytes || data.size() > max_bytes - offset) {
+    return OutOfRangeError("write past the largest file the block tree addresses (" +
+                           std::to_string(max_bytes) + " bytes)");
+  }
+  // The write streams through the buffer one slice per transaction op: a
+  // slice ends on the block that fills the buffer, and its EndOp commits
+  // the batch, so a huge write goes out in segment-sized batches (and the
+  // cleaner can keep pace) instead of accumulating in memory.
+  const uint64_t end = offset + data.size();
+  const uint64_t max_slice = std::max<uint64_t>(cfg_.write_buffer_blocks, 1);
   uint64_t pos = offset;
-  size_t src = 0;
-  while (src < data.size()) {
-    uint64_t chunk = std::min<uint64_t>(slice_bytes, data.size() - src);
+  while (pos < end) {
     // Worst-case log reservation: the slice's data blocks plus the indirect/
     // inode touch-up the flush will add for them.
-    uint64_t reserve = ((pos % bs) + chunk + bs - 1) / bs + 2;
-    txn_.WaitNotCommitting();
-    txn_.BeginOp(reserve);
-    Status st;
-    {
-      std::shared_lock<std::shared_mutex> lock(fs_mu_);
-      InodeLockSet il(LockTable(), {ino}, /*exclusive=*/true);
-      st = WriteAtSlice(ino, pos, data.subspan(src, chunk));
+    uint64_t reserve = std::min(BlockCountFor(end) - pos / sb_.block_size, max_slice) + 2;
+    bool first = pos == offset;
+    LFS_RETURN_IF_ERROR(RunMutation(reserve, [&] {
+      InodeLockSet il(ilocks_, {ino}, /*exclusive=*/true);
+      return WriteAtSlice(ino, offset, data, first, &pos);
+    }));
+  }
+  return OkStatus();
+}
+
+Status LfsFileSystem::WriteAtSlice(InodeNum ino, uint64_t offset, std::span<const uint8_t> data,
+                                   bool first, uint64_t* pos) {
+  LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(ino));
+  if (fm->inode.type == FileType::kDirectory) {
+    return IsADirectoryError("cannot write directly to a directory");
+  }
+  const uint32_t bs = sb_.block_size;
+  const uint64_t end = offset + data.size();
+  uint64_t old_blocks = fm->blocks.size();
+  uint64_t new_blocks_total = std::max(old_blocks, BlockCountFor(end));
+  if (first) {
+    LFS_RETURN_IF_ERROR(EnsureSpaceForWrite(new_blocks_total - old_blocks));
+    fm->inode.mtime = clock_.Tick();
+  }
+  // Every slice (re)grows the map: between slices a commit may have evicted
+  // and reloaded it, or a truncate shrunk it.
+  LFS_RETURN_IF_ERROR(GrowFileMap(fm, new_blocks_total));
+  fm->inode_dirty = true;
+  MarkInodeDirty(ino);
+
+  uint64_t staged = 0;
+  while (*pos < end) {
+    uint64_t fbn = *pos / bs;
+    uint32_t in_block = static_cast<uint32_t>(*pos % bs);
+    uint32_t chunk = static_cast<uint32_t>(std::min<uint64_t>(bs - in_block, end - *pos));
+    std::vector<uint8_t> block(bs);
+    if (chunk != bs) {
+      // Partial-block write: read-modify-write against cache or disk.
+      LFS_RETURN_IF_ERROR(ReadFileBlock(fm, ino, fbn, block));
     }
-    LFS_RETURN_IF_ERROR(EndMutation(st));
-    pos += chunk;
-    src += chunk;
+    std::memcpy(block.data() + in_block, data.data() + (*pos - offset), chunk);
+    StoreDirtyBlock(ino, fbn, std::move(block));
+    *pos += chunk;
+    fm->inode.size = std::max(fm->inode.size, *pos);
+    // A slice stages at most a buffer's worth (its reservation) and ends on
+    // the block that fills the buffer, whose EndOp then commits the batch.
+    if (++staged >= cfg_.write_buffer_blocks ||
+        dirty_count_.load() >= cfg_.write_buffer_blocks) {
+      break;
+    }
   }
   return OkStatus();
 }
 
 Result<uint64_t> LfsFileSystem::ReadAt(InodeNum ino, uint64_t offset, std::span<uint8_t> out) {
-  if (cfg_.concurrent) {
-    // Lock-free committer gate: keeps a continuous reader stream from
-    // starving a committer's exclusive acquisition.
-    txn_.WaitNotCommitting();
-  }
+  // Lock-free committer gate: keeps a continuous reader stream from
+  // starving a committer's exclusive acquisition.
+  txn_.WaitNotCommitting();
   std::shared_lock<std::shared_mutex> lock(fs_mu_);
   obs::ScopedOpTimer op_timer(&obs_, obs::OpType::kRead, device_, &clock_, ino);
-  InodeLockSet il(LockTable(), {ino}, /*exclusive=*/false);
+  InodeLockSet il(ilocks_, {ino}, /*exclusive=*/false);
   LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(ino));
   if (offset >= fm->inode.size || out.empty()) {
     return uint64_t{0};
@@ -667,11 +619,7 @@ Result<uint64_t> LfsFileSystem::ReadAt(InodeNum ino, uint64_t offset, std::span<
   return want;
 }
 
-// Truncate body shared by both regimes. Single-threaded: caller holds fs_mu_
-// exclusive. Concurrent: caller holds fs_mu_ shared, the inode's stripe
-// exclusive, and an open transaction.
 Status LfsFileSystem::TruncateLocked(InodeNum ino, uint64_t new_size) {
-  LFS_RETURN_IF_ERROR(CheckWritable());
   LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(ino));
   if (fm->inode.type == FileType::kDirectory) {
     return IsADirectoryError("cannot truncate a directory");
@@ -701,6 +649,10 @@ Status LfsFileSystem::TruncateLocked(InodeNum ino, uint64_t new_size) {
       fm->inode.version = imap_.Get(ino).version;
     }
   } else {
+    if (new_size > sb_.max_file_bytes()) {
+      return OutOfRangeError("truncate past the largest file the block tree addresses (" +
+                             std::to_string(sb_.max_file_bytes()) + " bytes)");
+    }
     LFS_RETURN_IF_ERROR(EnsureSpaceForWrite(0));
     LFS_RETURN_IF_ERROR(GrowFileMap(fm, BlockCountFor(new_size)));  // a hole
   }
@@ -712,25 +664,11 @@ Status LfsFileSystem::TruncateLocked(InodeNum ino, uint64_t new_size) {
 }
 
 Status LfsFileSystem::Truncate(InodeNum ino, uint64_t new_size) {
-  if (cfg_.concurrent) {
-    obs::ScopedOpTimer op_timer(&obs_, obs::OpType::kTruncate, device_, &clock_, ino);
-    txn_.WaitNotCommitting();
-    txn_.BeginOp(4);  // at most the boundary block + metadata touch-up
-    Status st;
-    {
-      std::shared_lock<std::shared_mutex> lock(fs_mu_);
-      InodeLockSet il(LockTable(), {ino}, /*exclusive=*/true);
-      st = TruncateLocked(ino, new_size);
-    }
-    return EndMutation(st);
-  }
-  std::unique_lock<std::shared_mutex> lock(fs_mu_);
   obs::ScopedOpTimer op_timer(&obs_, obs::OpType::kTruncate, device_, &clock_, ino);
-  Status st = TruncateLocked(ino, new_size);
-  if (!st.ok()) {
-    return st;
-  }
-  return MaybeFlush();
+  return RunMutation(kTruncateReserve, [&] {
+    InodeLockSet il(ilocks_, {ino}, /*exclusive=*/true);
+    return TruncateLocked(ino, new_size);
+  });
 }
 
 // --- flush machinery -----------------------------------------------------------
@@ -910,20 +848,11 @@ Status LfsFileSystem::FlushDirtyDataInner() {
   return OkStatus();
 }
 
-Status LfsFileSystem::MaybeFlush() {
-  if (dirty_count_.load() < cfg_.write_buffer_blocks) {
-    return OkStatus();
-  }
-  LFS_RETURN_IF_ERROR(FlushDirtyData());
-  LFS_RETURN_IF_ERROR(MaybeAutoCheckpoint());
-  TrimFileCache();
-  return OkStatus();
-}
-
 void LfsFileSystem::TrimFileCache() {
   // Trim clean cached file maps and directories; dirty state always stays.
-  // Candidates are visited in ascending inode order across shards — the
-  // iteration order of the old unsharded map. Caller holds fs_mu_ exclusive.
+  // Candidates are visited in ascending inode order across shards, so what
+  // is evicted does not depend on the shard count. Caller holds fs_mu_
+  // exclusive.
   size_t total = LoadedFileMapCount();
   if (total <= kFileCacheCap) {
     return;
@@ -976,11 +905,11 @@ Status LfsFileSystem::CommitBatch() {
   return st;
 }
 
-Status LfsFileSystem::EndMutation(Status st) {
-  // The commit trigger is the staged-block count crossing the same
-  // threshold the single-threaded MaybeFlush uses; EndOp also latches a
-  // commit when the transaction's own space budget is exhausted.
-  if (txn_.EndOp(dirty_count_.load() >= cfg_.write_buffer_blocks)) {
+Status LfsFileSystem::EndMutation(uint64_t reserved, Status st) {
+  // The commit trigger is the staged-block count reaching the write-buffer
+  // size; EndOp also latches a commit when a shared transaction's space
+  // budget is exhausted.
+  if (txn_.EndOp(reserved, dirty_count_.load() >= cfg_.write_buffer_blocks)) {
     Status cst = CommitBatch();
     if (st.ok()) {
       st = cst;
@@ -991,7 +920,7 @@ Status LfsFileSystem::EndMutation(Status st) {
 }
 
 void LfsFileSystem::MaybeKickCleaner() {
-  if (!cfg_.concurrent || !cleaner_running_.load()) {
+  if (!cleaner_running_.load()) {
     return;
   }
   // Lock-free peek at the clean-segment count; the cleaner thread re-checks

@@ -6,14 +6,12 @@
 // (Section 4.2) before the affected directory block and inodes reach the
 // log, which is what lets roll-forward restore entry/refcount consistency.
 //
-// Each public operation has two front-ends (threading-model note in lfs.h):
-// the single-threaded regime resolves and mutates under the exclusive
-// filesystem lock exactly as before; the concurrent regime resolves with
-// transient per-directory stripe locks, then acquires every involved inode's
-// stripe in ascending order (InodeLockSet), re-verifies the final
-// components under those locks — retrying if a concurrent rename/unlink
-// moved them — and runs the same *Locked tail inside a group-commit
-// transaction.
+// Each public operation resolves its path with transient per-directory
+// stripe locks, then acquires every involved inode's stripe in ascending
+// order (InodeLockSet), re-verifies the final components under those locks
+// — retrying if a concurrent rename/unlink moved them — and runs its
+// *Locked tail inside a group-commit transaction (threading-model note in
+// lfs.h).
 
 #include <algorithm>
 #include <cassert>
@@ -81,11 +79,11 @@ Result<InodeNum> LfsFileSystem::LookupInDir(InodeNum dir_ino, std::string_view n
 }
 
 Result<InodeNum> LfsFileSystem::LookupInDirTransient(InodeNum dir_ino, std::string_view name) {
-  InodeLockSet il(LockTable(), {dir_ino}, /*exclusive=*/false);
+  InodeLockSet il(ilocks_, {dir_ino}, /*exclusive=*/false);
   return LookupInDir(dir_ino, name);
 }
 
-Result<InodeNum> LfsFileSystem::WalkPathConcurrent(std::string_view path) {
+Result<InodeNum> LfsFileSystem::WalkPath(std::string_view path) {
   LFS_ASSIGN_OR_RETURN(std::vector<std::string> parts, SplitPath(path));
   InodeNum ino = kRootInode;
   for (const std::string& comp : parts) {
@@ -94,20 +92,14 @@ Result<InodeNum> LfsFileSystem::WalkPathConcurrent(std::string_view path) {
   return ino;
 }
 
-Result<InodeNum> LfsFileSystem::ResolveDirConcurrent(std::string_view path) {
-  LFS_ASSIGN_OR_RETURN(InodeNum ino, WalkPathConcurrent(path));
-  InodeLockSet il(LockTable(), {ino}, /*exclusive=*/false);
-  LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(ino));
-  if (fm->inode.type != FileType::kDirectory) {
-    return NotADirectoryError(std::string(path));
-  }
-  return ino;
-}
-
-Result<std::pair<InodeNum, std::string>> LfsFileSystem::ResolveParentConcurrent(
-    std::string_view path) {
+Result<std::pair<InodeNum, std::string>> LfsFileSystem::ResolveParent(std::string_view path) {
   LFS_ASSIGN_OR_RETURN(auto split, SplitParent(path));
-  LFS_ASSIGN_OR_RETURN(InodeNum parent, ResolveDirConcurrent(split.first));
+  LFS_ASSIGN_OR_RETURN(InodeNum parent, WalkPath(split.first));
+  InodeLockSet il(ilocks_, {parent}, /*exclusive=*/false);
+  LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(parent));
+  if (fm->inode.type != FileType::kDirectory) {
+    return NotADirectoryError(std::string(split.first));
+  }
   return std::make_pair(parent, split.second);
 }
 
@@ -159,44 +151,11 @@ Status LfsFileSystem::RemoveDirEntry(InodeNum dir_ino, std::string_view name) {
   return NotFoundError("no entry '" + std::string(name) + "' to remove");
 }
 
-Result<InodeNum> LfsFileSystem::ResolveDir(std::string_view path) {
-  LFS_ASSIGN_OR_RETURN(std::vector<std::string> parts, SplitPath(path));
-  InodeNum ino = kRootInode;
-  for (const std::string& comp : parts) {
-    LFS_ASSIGN_OR_RETURN(ino, LookupInDir(ino, comp));
-  }
-  LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(ino));
-  if (fm->inode.type != FileType::kDirectory) {
-    return NotADirectoryError(std::string(path));
-  }
-  return ino;
-}
-
-Result<std::pair<InodeNum, std::string>> LfsFileSystem::ResolveParent(std::string_view path) {
-  LFS_ASSIGN_OR_RETURN(auto split, SplitParent(path));
-  LFS_ASSIGN_OR_RETURN(InodeNum parent, ResolveDir(split.first));
-  return std::make_pair(parent, split.second);
-}
-
 Result<InodeNum> LfsFileSystem::Lookup(std::string_view path) {
-  if (cfg_.concurrent) {
-    txn_.WaitNotCommitting();
-    std::shared_lock<std::shared_mutex> lock(fs_mu_);
-    obs::ScopedOpTimer op_timer(&obs_, obs::OpType::kLookup, device_, &clock_);
-    return WalkPathConcurrent(path);
-  }
+  txn_.WaitNotCommitting();
   std::shared_lock<std::shared_mutex> lock(fs_mu_);
-  return LookupImpl(path);
-}
-
-Result<InodeNum> LfsFileSystem::LookupImpl(std::string_view path) {
   obs::ScopedOpTimer op_timer(&obs_, obs::OpType::kLookup, device_, &clock_);
-  LFS_ASSIGN_OR_RETURN(std::vector<std::string> parts, SplitPath(path));
-  InodeNum ino = kRootInode;
-  for (const std::string& comp : parts) {
-    LFS_ASSIGN_OR_RETURN(ino, LookupInDir(ino, comp));
-  }
-  return ino;
+  return WalkPath(path);
 }
 
 void LfsFileSystem::LogDirOp(DirLogRecord record) {
@@ -246,31 +205,15 @@ Result<InodeNum> LfsFileSystem::CreateLocked(InodeNum dir_ino, const std::string
 }
 
 Result<InodeNum> LfsFileSystem::Create(std::string_view path) {
-  if (cfg_.concurrent) {
-    obs::ScopedOpTimer op_timer(&obs_, obs::OpType::kCreate, device_, &clock_);
-    txn_.WaitNotCommitting();
-    txn_.BeginOp(kNamespaceOpReserve);
-    Result<InodeNum> result = [&]() -> Result<InodeNum> {
-      std::shared_lock<std::shared_mutex> lock(fs_mu_);
-      LFS_RETURN_IF_ERROR(CheckWritable());
-      LFS_ASSIGN_OR_RETURN(auto parent, ResolveParentConcurrent(path));
-      auto [dir_ino, name] = parent;
-      InodeLockSet il(LockTable(), {dir_ino}, /*exclusive=*/true);
-      return CreateLocked(dir_ino, name, path);
-    }();
-    Status st = EndMutation(result.status());
-    if (!st.ok()) {
-      return st;
-    }
-    return result;
-  }
-  std::unique_lock<std::shared_mutex> lock(fs_mu_);
   obs::ScopedOpTimer op_timer(&obs_, obs::OpType::kCreate, device_, &clock_);
-  LFS_RETURN_IF_ERROR(CheckWritable());
-  LFS_ASSIGN_OR_RETURN(auto parent, ResolveParent(path));
-  auto [dir_ino, name] = parent;
-  LFS_ASSIGN_OR_RETURN(InodeNum ino, CreateLocked(dir_ino, name, path));
-  LFS_RETURN_IF_ERROR(MaybeFlush());
+  InodeNum ino = kNilInode;
+  LFS_RETURN_IF_ERROR(RunMutation(kNamespaceOpReserve, [&]() -> Status {
+    LFS_ASSIGN_OR_RETURN(auto parent, ResolveParent(path));
+    auto [dir_ino, name] = parent;
+    InodeLockSet il(ilocks_, {dir_ino}, /*exclusive=*/true);
+    LFS_ASSIGN_OR_RETURN(ino, CreateLocked(dir_ino, name, path));
+    return OkStatus();
+  }));
   return ino;
 }
 
@@ -311,27 +254,13 @@ Status LfsFileSystem::MkdirLocked(InodeNum dir_ino, const std::string& name,
 }
 
 Status LfsFileSystem::Mkdir(std::string_view path) {
-  if (cfg_.concurrent) {
-    obs::ScopedOpTimer op_timer(&obs_, obs::OpType::kMkdir, device_, &clock_);
-    txn_.WaitNotCommitting();
-    txn_.BeginOp(kNamespaceOpReserve);
-    Status st = [&]() -> Status {
-      std::shared_lock<std::shared_mutex> lock(fs_mu_);
-      LFS_RETURN_IF_ERROR(CheckWritable());
-      LFS_ASSIGN_OR_RETURN(auto parent, ResolveParentConcurrent(path));
-      auto [dir_ino, name] = parent;
-      InodeLockSet il(LockTable(), {dir_ino}, /*exclusive=*/true);
-      return MkdirLocked(dir_ino, name, path);
-    }();
-    return EndMutation(st);
-  }
-  std::unique_lock<std::shared_mutex> lock(fs_mu_);
   obs::ScopedOpTimer op_timer(&obs_, obs::OpType::kMkdir, device_, &clock_);
-  LFS_RETURN_IF_ERROR(CheckWritable());
-  LFS_ASSIGN_OR_RETURN(auto parent, ResolveParent(path));
-  auto [dir_ino, name] = parent;
-  LFS_RETURN_IF_ERROR(MkdirLocked(dir_ino, name, path));
-  return MaybeFlush();
+  return RunMutation(kNamespaceOpReserve, [&]() -> Status {
+    LFS_ASSIGN_OR_RETURN(auto parent, ResolveParent(path));
+    auto [dir_ino, name] = parent;
+    InodeLockSet il(ilocks_, {dir_ino}, /*exclusive=*/true);
+    return MkdirLocked(dir_ino, name, path);
+  });
 }
 
 // --- unlink / rmdir ------------------------------------------------------------
@@ -385,43 +314,31 @@ Status LfsFileSystem::UnlinkLocked(InodeNum dir_ino, const std::string& name, In
   return OkStatus();
 }
 
-Status LfsFileSystem::Unlink(std::string_view path) {
-  if (cfg_.concurrent) {
-    obs::ScopedOpTimer op_timer(&obs_, obs::OpType::kUnlink, device_, &clock_);
-    txn_.WaitNotCommitting();
-    txn_.BeginOp(kNamespaceOpReserve);
-    Status st = [&]() -> Status {
-      std::shared_lock<std::shared_mutex> lock(fs_mu_);
-      LFS_RETURN_IF_ERROR(CheckWritable());
-      LFS_ASSIGN_OR_RETURN(auto parent, ResolveParentConcurrent(path));
-      auto [dir_ino, name] = parent;
-      // Lock-and-verify: the target's stripe can only be chosen after the
-      // lookup, so lock {dir, target} in order and re-check the entry still
-      // names that target; retry if a racing op moved it.
-      for (int attempt = 0; attempt < kVerifyRetries; attempt++) {
-        LFS_ASSIGN_OR_RETURN(InodeNum ino, LookupInDirTransient(dir_ino, name));
-        InodeLockSet il = LockInodePair(dir_ino, ino);
-        Result<InodeNum> now = LookupInDir(dir_ino, name);
-        if (!now.ok()) {
-          return now.status();
-        }
-        if (now.value() != ino) {
-          continue;
-        }
-        return UnlinkLocked(dir_ino, name, ino, path);
-      }
-      return NotFoundError("unlink '" + std::string(path) + "' kept racing with renames");
-    }();
-    return EndMutation(st);
-  }
-  std::unique_lock<std::shared_mutex> lock(fs_mu_);
-  obs::ScopedOpTimer op_timer(&obs_, obs::OpType::kUnlink, device_, &clock_);
-  LFS_RETURN_IF_ERROR(CheckWritable());
+Status LfsFileSystem::RemoveEntry(std::string_view path, RemoveTail tail) {
   LFS_ASSIGN_OR_RETURN(auto parent, ResolveParent(path));
   auto [dir_ino, name] = parent;
-  LFS_ASSIGN_OR_RETURN(InodeNum ino, LookupInDir(dir_ino, name));
-  LFS_RETURN_IF_ERROR(UnlinkLocked(dir_ino, name, ino, path));
-  return MaybeFlush();
+  // Lock-and-verify: the target's stripe can only be chosen after the
+  // lookup, so lock {dir, target} in order and re-check the entry still
+  // names that target; retry if a racing op moved it.
+  for (int attempt = 0; attempt < kVerifyRetries; attempt++) {
+    LFS_ASSIGN_OR_RETURN(InodeNum ino, LookupInDirTransient(dir_ino, name));
+    InodeLockSet il = LockInodePair(dir_ino, ino);
+    Result<InodeNum> now = LookupInDir(dir_ino, name);
+    if (!now.ok()) {
+      return now.status();
+    }
+    if (now.value() != ino) {
+      continue;
+    }
+    return (this->*tail)(dir_ino, name, ino, path);
+  }
+  return NotFoundError("removing '" + std::string(path) + "' kept racing with renames");
+}
+
+Status LfsFileSystem::Unlink(std::string_view path) {
+  obs::ScopedOpTimer op_timer(&obs_, obs::OpType::kUnlink, device_, &clock_);
+  return RunMutation(kNamespaceOpReserve,
+                     [&] { return RemoveEntry(path, &LfsFileSystem::UnlinkLocked); });
 }
 
 Status LfsFileSystem::RmdirLocked(InodeNum dir_ino, const std::string& name, InodeNum ino,
@@ -452,37 +369,8 @@ Status LfsFileSystem::RmdirLocked(InodeNum dir_ino, const std::string& name, Ino
 }
 
 Status LfsFileSystem::Rmdir(std::string_view path) {
-  if (cfg_.concurrent) {
-    txn_.WaitNotCommitting();
-    txn_.BeginOp(kNamespaceOpReserve);
-    Status st = [&]() -> Status {
-      std::shared_lock<std::shared_mutex> lock(fs_mu_);
-      LFS_RETURN_IF_ERROR(CheckWritable());
-      LFS_ASSIGN_OR_RETURN(auto parent, ResolveParentConcurrent(path));
-      auto [dir_ino, name] = parent;
-      for (int attempt = 0; attempt < kVerifyRetries; attempt++) {
-        LFS_ASSIGN_OR_RETURN(InodeNum ino, LookupInDirTransient(dir_ino, name));
-        InodeLockSet il = LockInodePair(dir_ino, ino);
-        Result<InodeNum> now = LookupInDir(dir_ino, name);
-        if (!now.ok()) {
-          return now.status();
-        }
-        if (now.value() != ino) {
-          continue;
-        }
-        return RmdirLocked(dir_ino, name, ino, path);
-      }
-      return NotFoundError("rmdir '" + std::string(path) + "' kept racing with renames");
-    }();
-    return EndMutation(st);
-  }
-  std::unique_lock<std::shared_mutex> lock(fs_mu_);
-  LFS_RETURN_IF_ERROR(CheckWritable());
-  LFS_ASSIGN_OR_RETURN(auto parent, ResolveParent(path));
-  auto [dir_ino, name] = parent;
-  LFS_ASSIGN_OR_RETURN(InodeNum ino, LookupInDir(dir_ino, name));
-  LFS_RETURN_IF_ERROR(RmdirLocked(dir_ino, name, ino, path));
-  return MaybeFlush();
+  return RunMutation(kNamespaceOpReserve,
+                     [&] { return RemoveEntry(path, &LfsFileSystem::RmdirLocked); });
 }
 
 // --- link / rename -------------------------------------------------------------
@@ -516,33 +404,14 @@ Status LfsFileSystem::LinkLocked(InodeNum ino, InodeNum dir_ino, const std::stri
 }
 
 Status LfsFileSystem::Link(std::string_view existing, std::string_view link_path) {
-  if (cfg_.concurrent) {
-    txn_.WaitNotCommitting();
-    txn_.BeginOp(kNamespaceOpReserve);
-    Status st = [&]() -> Status {
-      std::shared_lock<std::shared_mutex> lock(fs_mu_);
-      LFS_RETURN_IF_ERROR(CheckWritable());
-      LFS_ASSIGN_OR_RETURN(InodeNum ino, WalkPathConcurrent(existing));
-      LFS_ASSIGN_OR_RETURN(auto parent, ResolveParentConcurrent(link_path));
-      auto [dir_ino, name] = parent;
-      // Two-inode ordering helper (ISSUE): target + destination directory,
-      // both exclusive, ascending stripe order.
-      InodeLockSet il = LockInodePair(ino, dir_ino);
-      return LinkLocked(ino, dir_ino, name, link_path);
-    }();
-    return EndMutation(st);
-  }
-  std::unique_lock<std::shared_mutex> lock(fs_mu_);
-  LFS_RETURN_IF_ERROR(CheckWritable());
-  LFS_ASSIGN_OR_RETURN(InodeNum ino, LookupImpl(existing));
-  LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(ino));
-  if (fm->inode.type == FileType::kDirectory) {
-    return IsADirectoryError("hard links to directories are not allowed");
-  }
-  LFS_ASSIGN_OR_RETURN(auto parent, ResolveParent(link_path));
-  auto [dir_ino, name] = parent;
-  LFS_RETURN_IF_ERROR(LinkLocked(ino, dir_ino, name, link_path));
-  return MaybeFlush();
+  return RunMutation(kNamespaceOpReserve, [&]() -> Status {
+    LFS_ASSIGN_OR_RETURN(InodeNum ino, WalkPath(existing));
+    LFS_ASSIGN_OR_RETURN(auto parent, ResolveParent(link_path));
+    auto [dir_ino, name] = parent;
+    // Target + destination directory, both exclusive, ascending stripe order.
+    InodeLockSet il = LockInodePair(ino, dir_ino);
+    return LinkLocked(ino, dir_ino, name, link_path);
+  });
 }
 
 Status LfsFileSystem::RenameLocked(InodeNum from_dir, const std::string& from_name,
@@ -607,52 +476,7 @@ Status LfsFileSystem::RenameLocked(InodeNum from_dir, const std::string& from_na
 }
 
 Status LfsFileSystem::Rename(std::string_view from, std::string_view to) {
-  if (cfg_.concurrent) {
-    obs::ScopedOpTimer op_timer(&obs_, obs::OpType::kRename, device_, &clock_);
-    if (from == to) {
-      return OkStatus();
-    }
-    if (to.size() > from.size() && to.substr(0, from.size()) == from &&
-        to[from.size()] == '/') {
-      return InvalidArgumentError("cannot move a directory into itself");
-    }
-    txn_.WaitNotCommitting();
-    txn_.BeginOp(kNamespaceOpReserve);
-    Status st = [&]() -> Status {
-      std::shared_lock<std::shared_mutex> lock(fs_mu_);
-      LFS_RETURN_IF_ERROR(CheckWritable());
-      LFS_ASSIGN_OR_RETURN(auto src, ResolveParentConcurrent(from));
-      auto [from_dir, from_name] = src;
-      LFS_ASSIGN_OR_RETURN(auto dst, ResolveParentConcurrent(to));
-      auto [to_dir, to_name] = dst;
-      // Lock-and-verify over up to four stripes: both directories, the moved
-      // inode, and any replaced target — all exclusive, ascending stripe
-      // order (InodeLockSet), so crossing renames cannot deadlock.
-      for (int attempt = 0; attempt < kVerifyRetries; attempt++) {
-        LFS_ASSIGN_OR_RETURN(InodeNum ino, LookupInDirTransient(from_dir, from_name));
-        Result<InodeNum> target = LookupInDirTransient(to_dir, to_name);
-        InodeNum replaced = target.ok() ? target.value() : kNilInode;
-        InodeLockSet il(LockTable(),
-                        {from_dir, to_dir, ino, replaced != kNilInode ? replaced : ino},
-                        /*exclusive=*/true);
-        Result<InodeNum> now_src = LookupInDir(from_dir, from_name);
-        if (!now_src.ok()) {
-          return now_src.status();
-        }
-        Result<InodeNum> now_dst = LookupInDir(to_dir, to_name);
-        InodeNum now_replaced = now_dst.ok() ? now_dst.value() : kNilInode;
-        if (now_src.value() != ino || now_replaced != replaced) {
-          continue;
-        }
-        return RenameLocked(from_dir, from_name, ino, to_dir, to_name, to);
-      }
-      return NotFoundError("rename '" + std::string(from) + "' kept racing with renames");
-    }();
-    return EndMutation(st);
-  }
-  std::unique_lock<std::shared_mutex> lock(fs_mu_);
   obs::ScopedOpTimer op_timer(&obs_, obs::OpType::kRename, device_, &clock_);
-  LFS_RETURN_IF_ERROR(CheckWritable());
   if (from == to) {
     return OkStatus();
   }
@@ -661,34 +485,43 @@ Status LfsFileSystem::Rename(std::string_view from, std::string_view to) {
       to[from.size()] == '/') {
     return InvalidArgumentError("cannot move a directory into itself");
   }
-  LFS_ASSIGN_OR_RETURN(auto src, ResolveParent(from));
-  auto [from_dir, from_name] = src;
-  LFS_ASSIGN_OR_RETURN(InodeNum ino, LookupInDir(from_dir, from_name));
-  LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(ino));
-  (void)fm;  // type and replaced-target checks run in RenameLocked
-  LFS_ASSIGN_OR_RETURN(auto dst, ResolveParent(to));
-  auto [to_dir, to_name] = dst;
-  LFS_RETURN_IF_ERROR(RenameLocked(from_dir, from_name, ino, to_dir, to_name, to));
-  return MaybeFlush();
+  return RunMutation(kNamespaceOpReserve, [&]() -> Status {
+    LFS_ASSIGN_OR_RETURN(auto src, ResolveParent(from));
+    auto [from_dir, from_name] = src;
+    LFS_ASSIGN_OR_RETURN(auto dst, ResolveParent(to));
+    auto [to_dir, to_name] = dst;
+    // Lock-and-verify over up to four stripes: both directories, the moved
+    // inode, and any replaced target — all exclusive, ascending stripe
+    // order (InodeLockSet), so crossing renames cannot deadlock.
+    for (int attempt = 0; attempt < kVerifyRetries; attempt++) {
+      LFS_ASSIGN_OR_RETURN(InodeNum ino, LookupInDirTransient(from_dir, from_name));
+      Result<InodeNum> target = LookupInDirTransient(to_dir, to_name);
+      InodeNum replaced = target.ok() ? target.value() : kNilInode;
+      InodeLockSet il(ilocks_, {from_dir, to_dir, ino, replaced != kNilInode ? replaced : ino},
+                      /*exclusive=*/true);
+      Result<InodeNum> now_src = LookupInDir(from_dir, from_name);
+      if (!now_src.ok()) {
+        return now_src.status();
+      }
+      Result<InodeNum> now_dst = LookupInDir(to_dir, to_name);
+      InodeNum now_replaced = now_dst.ok() ? now_dst.value() : kNilInode;
+      if (now_src.value() != ino || now_replaced != replaced) {
+        continue;
+      }
+      return RenameLocked(from_dir, from_name, ino, to_dir, to_name, to);
+    }
+    return NotFoundError("rename '" + std::string(from) + "' kept racing with renames");
+  });
 }
 
 Result<std::vector<DirEntry>> LfsFileSystem::ReadDir(std::string_view path) {
-  if (cfg_.concurrent) {
-    txn_.WaitNotCommitting();
-  }
+  txn_.WaitNotCommitting();
   std::shared_lock<std::shared_mutex> lock(fs_mu_);
-  InodeNum ino;
-  if (cfg_.concurrent) {
-    LFS_ASSIGN_OR_RETURN(ino, WalkPathConcurrent(path));
-  } else {
-    LFS_ASSIGN_OR_RETURN(ino, ResolveDir(path));
-  }
-  InodeLockSet il(LockTable(), {ino}, /*exclusive=*/false);
-  if (cfg_.concurrent) {
-    LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(ino));
-    if (fm->inode.type != FileType::kDirectory) {
-      return NotADirectoryError(std::string(path));
-    }
+  LFS_ASSIGN_OR_RETURN(InodeNum ino, WalkPath(path));
+  InodeLockSet il(ilocks_, {ino}, /*exclusive=*/false);
+  LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(ino));
+  if (fm->inode.type != FileType::kDirectory) {
+    return NotADirectoryError(std::string(path));
   }
   LFS_ASSIGN_OR_RETURN(DirCache * cache, GetDirCache(ino));
   std::vector<DirEntry> out;

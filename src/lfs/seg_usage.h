@@ -13,7 +13,7 @@
 // checkpoint region.
 //
 // Concurrency: mutators (AddLive/SubLive/SetState/...) serialize on an
-// internal mutex so the concurrent front-end may call them under the
+// internal mutex so the filesystem front end may call them under the
 // filesystem's *shared* lock (truncate and unlink subtract live bytes while
 // other ops run). The hot read-path fields are lock-free relaxed atomics:
 // per-segment write sequences (checked on every cached read) and the

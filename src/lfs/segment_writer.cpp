@@ -128,7 +128,7 @@ Result<BlockNo> SegmentWriter::Append(const SummaryEntry& entry, std::vector<uin
   }
   Log& log = logs_[log_index];
   // Per-log append lock: concurrent appends to distinct logs stay safe with
-  // respect to each other (multi-log under the concurrent front-end).
+  // respect to each other (multi-log with concurrent callers).
   std::lock_guard<std::mutex> lk(log.mu);
   LFS_RETURN_IF_ERROR(EnsureRoom(log, log_index));
   BlockNo summary_addr = sb_->SegmentBase(log.cur_seg) + log.cur_offset;

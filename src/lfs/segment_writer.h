@@ -45,7 +45,7 @@
 namespace lfs {
 
 // GroupCommit: xv6-style transaction counting (kernel/log.c begin_op/end_op)
-// for the concurrent front-end. Mutators join the open transaction with
+// for every filesystem mutation. Mutators join the open transaction with
 // BeginOp(), reserving their worst-case staged log blocks, stage their dirty
 // blocks under the filesystem's *shared* lock, and leave with EndOp(). When a
 // leaving op asks for a commit (write buffer full) the *last op out* of the
@@ -57,19 +57,22 @@ namespace lfs {
 // the shared lock so the committer's exclusive acquisition cannot be starved
 // by a continuous reader stream.
 //
+// A lone caller is a transaction of one op. Until two ops of the open
+// transaction overlap, EndOp hands each op's reservation back, so sequential
+// ops commit only when one asks to — where a flush-when-full write path would
+// flush. Once two ops have overlapped, every reservation is kept until the
+// commit and the budget bounds the shared batch.
+//
 // External exclusive sections (checkpoint, cleaner pass, unmount) use
 // BeginCommit()/EndCommit() directly: BeginCommit closes the transaction to
 // new ops and waits for in-flight ones to drain before the caller takes the
 // filesystem lock exclusively.
 class GroupCommit {
  public:
-  // `max_ops` bounds how many mutators share one open transaction;
   // `max_staged_blocks` bounds the transaction's total worst-case reserved
   // log blocks before further BeginOps wait for a commit.
-  void Configure(uint32_t max_ops, uint64_t max_staged_blocks) {
-    max_ops_ = max_ops == 0 ? 1 : max_ops;
-    max_staged_ = max_staged_blocks == 0 ? 1 : max_staged_blocks;
-  }
+  explicit GroupCommit(uint64_t max_staged_blocks)
+      : max_staged_(max_staged_blocks == 0 ? 1 : max_staged_blocks) {}
 
   // Joins the open transaction, reserving `blocks` worst-case staged blocks.
   // Blocks while a commit is in flight, the transaction is at its op cap, or
@@ -78,21 +81,26 @@ class GroupCommit {
   void BeginOp(uint64_t blocks) {
     std::unique_lock<std::mutex> lk(mu_);
     cv_.wait(lk, [&] {
-      return !committing_ && outstanding_ < max_ops_ &&
+      return !committing_ && outstanding_ < kMaxOps &&
              (outstanding_ == 0 || reserved_ + blocks <= max_staged_);
     });
+    overlapped_ = overlapped_ || outstanding_ > 0;
     outstanding_++;
     reserved_ += blocks;
   }
 
-  // Leaves the transaction. `want_commit` requests a batch commit (typically:
-  // the write buffer crossed its flush threshold); the request is sticky and
-  // the last op out of the transaction wins the committer token. Returns true
-  // iff the caller became the committer and MUST call Commit-flush work
-  // followed by EndCommit().
-  bool EndOp(bool want_commit) {
+  // Leaves the transaction; `blocks` is what the matching BeginOp reserved.
+  // `want_commit` requests a batch commit (typically: the write buffer
+  // crossed its flush threshold); the request is sticky and the last op out
+  // of the transaction wins the committer token. Returns true iff the caller
+  // became the committer and MUST call Commit-flush work followed by
+  // EndCommit().
+  bool EndOp(uint64_t blocks, bool want_commit) {
     std::lock_guard<std::mutex> lk(mu_);
     outstanding_--;
+    if (!overlapped_) {
+      reserved_ -= blocks;
+    }
     if (want_commit || reserved_ >= max_staged_) {
       commit_requested_ = true;
     }
@@ -122,6 +130,7 @@ class GroupCommit {
       std::lock_guard<std::mutex> lk(mu_);
       set_committing(false);
       commit_requested_ = false;
+      overlapped_ = false;
       reserved_ = 0;
     }
     cv_.notify_all();
@@ -146,12 +155,16 @@ class GroupCommit {
     committing_flag_.store(v);
   }
 
+  // At most this many mutators share one open transaction; bounds both the
+  // commit batch and how long the committer waits for stragglers to drain.
+  static constexpr uint32_t kMaxOps = 64;
+
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;
-  uint32_t max_ops_ = 64;
-  uint64_t max_staged_ = 1024;
+  const uint64_t max_staged_;
   uint32_t outstanding_ = 0;   // ops inside the open transaction
   uint64_t reserved_ = 0;      // worst-case staged blocks of the transaction
+  bool overlapped_ = false;    // two ops of the open transaction overlapped
   bool committing_ = false;
   bool commit_requested_ = false;
   Relaxed<bool> committing_flag_{false};
@@ -264,7 +277,7 @@ class SegmentWriter {
   //
   // Concurrency: `mu` is the per-log append lock — Append/Flush serialize on
   // the log they touch, so concurrent appends to *distinct* logs are safe
-  // with respect to each other (num_logs > 1 under LfsConfig::concurrent).
+  // with respect to each other (num_logs > 1).
   // Lock-free readers of the append point (ReadBuffered, log_offset) are
   // instead fenced by the filesystem rwlock: appends only ever run under the
   // exclusive filesystem lock (group commit, cleaner, checkpoint), readers

@@ -14,7 +14,7 @@
 
 namespace lfs {
 
-// Counters are Relaxed<> atomics so concurrent front-end threads (and the
+// Counters are Relaxed<> atomics so concurrent caller threads (and the
 // background cleaner) can bump them without data races; the struct keeps
 // value semantics (tests snapshot and subtract it) via Relaxed's copyability.
 struct LfsStats {

@@ -176,6 +176,39 @@ TEST_F(CheckTest, DetectsTrashedImapChunk) {
   EXPECT_GT(report.errors, 0u) << report.Summary();
 }
 
+TEST_F(CheckTest, InodeSizePastTheBlockTreeIsCorruptionNotACrash) {
+  // A 2^62 size in one inode slot must come back as a Status: sizing a
+  // file map (filesystem) or walking a block tree (checker) for it would
+  // die in std::bad_alloc.
+  ASSERT_OK(fs_->WriteFile("/f", TestContent(1, 3000)));
+  ASSERT_OK_AND_ASSIGN(InodeNum ino, fs_->Lookup("/f"));
+  ASSERT_OK(fs_->Sync());
+  // Move the log head past /f's segment, so mounting does not itself
+  // liveness-check /f's blocks.
+  for (int i = 0; i < 3; i++) {
+    ASSERT_OK(fs_->WriteFile("/fill" + std::to_string(i), TestContent(i, 16 * 1024)));
+  }
+  ASSERT_OK(fs_->Unmount());
+  ImapEntry loc = fs_->inode_map().Get(ino);
+  fs_.reset();
+  std::span<uint8_t> slot = disk_->raw().subspan(
+      loc.inode_block * cfg_.block_size + size_t{loc.slot} * kInodeSlotSize, kInodeSlotSize);
+  ASSERT_OK_AND_ASSIGN(Inode inode, Inode::DecodeFrom(slot));
+  ASSERT_EQ(inode.ino, ino);
+  inode.size = uint64_t{1} << 62;
+  inode.EncodeTo(slot);
+
+  ASSERT_OK_AND_ASSIGN(auto fs, LfsFileSystem::Mount(disk_.get(), cfg_));
+  EXPECT_EQ(fs->Stat(ino).status().code(), StatusCode::kCorruption);
+  fs.reset();
+  ASSERT_OK_AND_ASSIGN(CheckReport report, CheckLfsImage(disk_.get()));
+  bool flagged = false;
+  for (const CheckFinding& f : report.findings) {
+    flagged = flagged || (f.error && f.invariant == "inode.size_out_of_range");
+  }
+  EXPECT_TRUE(flagged) << report.Summary();
+}
+
 TEST_F(CheckTest, CrashedImageHasNoErrors) {
   // A crash leaves a log tail past the checkpoint; that is a RECOVERABLE
   // state, and the checker must not call it corruption.

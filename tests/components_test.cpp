@@ -1,7 +1,8 @@
 // Unit tests for the LFS in-memory components: InodeMap (allocation,
 // versioned uids, chunk persistence), SegUsage (accounting invariants,
-// state machine, chunking), and SegmentWriter (partial-write emission,
-// capacity limits, buffered read-back, segment advance, reserve policy).
+// state machine, chunking), SegmentWriter (partial-write emission,
+// capacity limits, buffered read-back, segment advance, reserve policy), and
+// GroupCommit (when a transaction's op draws the committer token).
 
 #include <gtest/gtest.h>
 
@@ -268,6 +269,42 @@ TEST(StatsTest, WriteCostDefinition) {
   st.log_bytes_by_kind[static_cast<size_t>(BlockKind::kData)] += 500;
   // (1000 payload + 500 cleaned + 100 summaries + 400 cleaner reads) / 1000
   EXPECT_DOUBLE_EQ(st.WriteCost(), 2.0);
+}
+
+// --- GroupCommit ----------------------------------------------------------------
+
+TEST(GroupCommitTest, SequentialLoneOpsCommitOnlyWhenAsked) {
+  GroupCommit txn(/*max_staged_blocks=*/16);
+  // Ten lone ops reserve 110 blocks in total, far past the budget of 16;
+  // each hands its reservation back, so none is made the committer.
+  for (int i = 0; i < 10; i++) {
+    txn.BeginOp(11);
+    EXPECT_FALSE(txn.EndOp(11, /*want_commit=*/false)) << "op " << i;
+  }
+  txn.BeginOp(11);
+  EXPECT_TRUE(txn.EndOp(11, /*want_commit=*/true));
+  txn.EndCommit();
+  txn.BeginOp(11);
+  EXPECT_FALSE(txn.EndOp(11, /*want_commit=*/false));
+}
+
+TEST(GroupCommitTest, OverlappingOpsCommitOnceTheirReservationsCrossTheBudget) {
+  GroupCommit txn(/*max_staged_blocks=*/16);
+  txn.BeginOp(10);
+  txn.BeginOp(6);  // overlaps the first: the transaction keeps both
+  EXPECT_FALSE(txn.EndOp(6, /*want_commit=*/false));  // 16 of 16; op 1 still in
+  EXPECT_TRUE(txn.EndOp(10, /*want_commit=*/false));  // last op out commits
+  txn.EndCommit();
+
+  // Once two ops have overlapped, later ops of that transaction accumulate
+  // too, even when they run alone.
+  txn.BeginOp(10);
+  txn.BeginOp(4);
+  EXPECT_FALSE(txn.EndOp(4, /*want_commit=*/false));
+  EXPECT_FALSE(txn.EndOp(10, /*want_commit=*/false));  // 14 of 16
+  txn.BeginOp(4);
+  EXPECT_TRUE(txn.EndOp(4, /*want_commit=*/false));  // 18 of 16
+  txn.EndCommit();
 }
 
 }  // namespace

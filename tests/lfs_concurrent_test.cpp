@@ -44,7 +44,7 @@ LfsConfig ConcurrentConfig() {
   cfg.clean_hi = 10;
   cfg.segments_per_pass = 6;
   cfg.write_buffer_blocks = 32;
-  cfg.concurrent = true;  // reader-writer locking + background cleaner
+  cfg.concurrent = true;  // background cleaner + striped read cache
   // CI's TSan job re-runs the whole suite with LFS_TEST_NUM_LOGS=2 so the
   // multi-log append path races against the background cleaner too.
   if (const char* logs = getenv("LFS_TEST_NUM_LOGS")) {

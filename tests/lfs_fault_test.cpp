@@ -269,9 +269,9 @@ TEST(FaultInjectionTest, MountFallsBackToBackupSuperblock) {
 // The fault matrix: every operation races a seeded rain of transient read
 // and write faults. The retry layer must absorb all of it — the filesystem
 // may never diverge from the in-memory model, and the image must check
-// clean after a remount. Each seed runs in both locking regimes (the first
-// bool selects cfg.concurrent), so the sharded-lock front-end faces the
-// same matrix the single-lock survivors passed; the second bool re-runs the
+// clean after a remount. Each seed runs with and without cfg.concurrent
+// (the first bool), so the background cleaner thread and the striped read
+// cache face the same matrix as a lone caller; the second bool re-runs the
 // matrix with adaptive cleaning + partial compaction on, so a fault landing
 // mid-drain (victim half-relocated, cursor advanced) must quarantine the
 // victim, never corrupt the namespace or the live accounting.

@@ -186,5 +186,47 @@ TEST_F(LargeFileTest, CleaningMovesIndirectBlocksCorrectly) {
   EXPECT_EQ(data, content);
 }
 
+TEST_F(LargeFileTest, GrowthPastTheBlockTreeIsRefused) {
+  // 12 direct + 128 single-indirect + 128 * 128 double-indirect blocks.
+  const uint64_t max_bytes = (kNumDirect + ppb_ + ppb_ * ppb_) * bs_;
+  ASSERT_EQ(fs_->superblock().max_file_bytes(), max_bytes);
+  ASSERT_OK_AND_ASSIGN(InodeNum ino, fs_->Create("/edge"));
+  std::vector<uint8_t> byte = {0x5A};
+  EXPECT_EQ(fs_->WriteAt(ino, max_bytes, byte).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(fs_->WriteAt(ino, UINT64_MAX, byte).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(fs_->Truncate(ino, max_bytes + 1).code(), StatusCode::kOutOfRange);
+  // Exactly the limit is a valid (sparse) file, before and after a remount.
+  ASSERT_OK(fs_->Truncate(ino, max_bytes));
+  ASSERT_OK(fs_->WriteAt(ino, max_bytes - 1, byte));
+  Remount();
+  ASSERT_OK_AND_ASSIGN(FileStat st, fs_->Stat(ino));
+  EXPECT_EQ(st.size, max_bytes);
+  std::vector<uint8_t> back(1);
+  ASSERT_OK_AND_ASSIGN(uint64_t n, fs_->ReadAt(ino, max_bytes - 1, back));
+  EXPECT_EQ(n, 1u);
+  EXPECT_EQ(back, byte);
+}
+
+// A write that fills the buffer is committed mid-way, and that commit trims
+// the file-map cache once more than 16384 maps are loaded. The write must
+// not keep using its own map across the commit: the trim may evict it.
+TEST(LargeWriteTest, WriteOutlivesEvictionOfItsFileMapAtACommit) {
+  LfsConfig cfg;
+  cfg.max_inodes = 32768;
+  MemDisk disk(cfg.block_size, (64ull << 20) / cfg.block_size);
+  ASSERT_OK_AND_ASSIGN(auto fs, LfsFileSystem::Mkfs(&disk, cfg));
+  ASSERT_OK_AND_ASSIGN(InodeNum a, fs->Create("/a"));
+  for (int i = 0; i < 16500; i++) {
+    ASSERT_OK(fs->Create("/f" + std::to_string(i)).status());
+  }
+  ASSERT_OK(fs->Sync());  // every loaded map is clean, hence evictable
+  std::vector<uint8_t> data = TestContent(3, 2 << 20);
+  ASSERT_OK(fs->WriteAt(a, 0, data));
+  std::vector<uint8_t> back(data.size());
+  ASSERT_OK_AND_ASSIGN(uint64_t n, fs->ReadAt(a, 0, back));
+  EXPECT_EQ(n, data.size());
+  EXPECT_EQ(back, data);
+}
+
 }  // namespace
 }  // namespace lfs

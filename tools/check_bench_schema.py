@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate (and optionally diff) BENCH_<name>.json benchmark reports.
+"""Validate BENCH_<name>.json benchmark reports.
 
 Every benchmark binary emits a machine-readable report through
 lfs::bench::BenchReport (see bench/bench_common.h). This script is the CI
@@ -12,12 +12,7 @@ gate on that contract:
       carry count/mean_us/min_us/max_us and the p50/p90/p95/p99 percentile
       fields as finite numbers.
 
-  check_bench_schema.py compare BASELINE CURRENT [--tolerance=0.05]
-      Compare two reports for the same benchmark. Metrics prefixed "wall."
-      are host wall-clock measurements and are skipped (they vary run to
-      run); all other metrics are modeled/deterministic and must agree
-      within the relative tolerance. Keys present on only one side are
-      reported. Reports with different "smoke" flags refuse to compare.
+Diffing reports against baselines is tools/compare_bench.py's job.
 
 Only the Python standard library is used.
 """
@@ -73,60 +68,12 @@ def validate_report(path):
     return ok
 
 
-def compare_reports(baseline_path, current_path, tolerance):
-    with open(baseline_path) as f:
-        baseline = json.load(f)
-    with open(current_path) as f:
-        current = json.load(f)
-    if baseline.get("bench") != current.get("bench"):
-        return fail(f"bench name mismatch: {baseline.get('bench')!r} vs "
-                    f"{current.get('bench')!r}")
-    if baseline.get("smoke") != current.get("smoke"):
-        return fail("refusing to compare: one report is a smoke run and the "
-                    "other is not")
-    base = {k: v for k, v in baseline["metrics"].items()
-            if not k.startswith("wall.")}
-    cur = {k: v for k, v in current["metrics"].items()
-           if not k.startswith("wall.")}
-    ok = True
-    for key in sorted(base.keys() - cur.keys()):
-        ok = fail(f"metric {key!r} missing from {current_path}")
-    for key in sorted(cur.keys() - base.keys()):
-        print(f"check_bench_schema: note: new metric {key!r} in {current_path}",
-              file=sys.stderr)
-    worst = 0.0
-    for key in sorted(base.keys() & cur.keys()):
-        b, c = base[key], cur[key]
-        denom = max(abs(b), abs(c), 1e-12)
-        rel = abs(b - c) / denom
-        worst = max(worst, rel)
-        if rel > tolerance:
-            ok = fail(f"metric {key!r}: baseline {b} vs current {c} "
-                      f"(rel diff {rel:.4f} > {tolerance})")
-    status = "OK" if ok else "FAIL"
-    print(f"check_bench_schema: compare {status}: {len(base.keys() & cur.keys())} "
-          f"deterministic metrics, worst rel diff {worst:.4f}")
-    return ok
-
-
 def main(argv):
     if len(argv) >= 3 and argv[1] == "validate":
         ok = all([validate_report(p) for p in argv[2:]])
         if ok:
             print(f"check_bench_schema: {len(argv) - 2} report(s) valid")
         return 0 if ok else 1
-    if len(argv) >= 4 and argv[1] == "compare":
-        tolerance = 0.05
-        rest = []
-        for a in argv[2:]:
-            if a.startswith("--tolerance="):
-                tolerance = float(a.split("=", 1)[1])
-            else:
-                rest.append(a)
-        if len(rest) != 2:
-            print(__doc__, file=sys.stderr)
-            return 2
-        return 0 if compare_reports(rest[0], rest[1], tolerance) else 1
     print(__doc__, file=sys.stderr)
     return 2
 
