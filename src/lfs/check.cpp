@@ -187,10 +187,17 @@ Status Checker::LoadTables() {
     Claim(ck_.usage_chunk_addr[c], "usage chunk " + std::to_string(c));
   }
 
-  imap_.resize(ck_.ninodes);
+  // An out-of-range high-water mark leaves the imap empty: sizing a copy
+  // from it could exhaust memory, and no entry past max_inodes is trusted.
+  Status range = ck_.ValidateAgainst(sb_);
+  if (!range.ok()) {
+    Error("checkpoint.ninodes_range", range.message());
+  }
+  uint32_t ninodes = range.ok() ? ck_.ninodes : 0;
+  imap_.resize(ninodes);
   uint32_t epc = sb_.imap_entries_per_chunk();
   for (uint32_t c = 0; c < ck_.imap_chunk_addr.size(); c++) {
-    if (uint64_t{c} * epc >= ck_.ninodes) {
+    if (uint64_t{c} * epc >= ninodes) {
       break;
     }
     BlockNo addr = ck_.imap_chunk_addr[c];
@@ -201,7 +208,7 @@ Status Checker::LoadTables() {
     LFS_RETURN_IF_ERROR(ReadBlock(addr, &block));
     for (uint32_t i = 0; i < epc; i++) {
       InodeNum ino = c * epc + i;
-      if (ino >= ck_.ninodes) {
+      if (ino >= ninodes) {
         break;
       }
       imap_[ino] = ImapEntry::DecodeFrom(std::span<const uint8_t>(block).subspan(
@@ -218,9 +225,8 @@ Status Checker::LoadTables() {
       recomputed_live_[seg] += sb_.block_size;
     }
   }
-  uint32_t epc2 = sb_.imap_entries_per_chunk();
   for (uint32_t c = 0; c < ck_.imap_chunk_addr.size(); c++) {
-    if (uint64_t{c} * epc2 >= ck_.ninodes) {
+    if (uint64_t{c} * epc >= ninodes) {
       break;
     }
     SegNo seg = sb_.SegOf(ck_.imap_chunk_addr[c]);

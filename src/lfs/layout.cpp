@@ -375,6 +375,14 @@ Result<Checkpoint> Checkpoint::DecodeFrom(std::span<const uint8_t> region) {
   return ck;
 }
 
+Status Checkpoint::ValidateAgainst(const Superblock& sb) const {
+  if (ninodes > sb.max_inodes) {
+    return CorruptionError("checkpoint: ninodes " + std::to_string(ninodes) +
+                           " exceeds max_inodes " + std::to_string(sb.max_inodes));
+  }
+  return OkStatus();
+}
+
 // --- directory file format -------------------------------------------------------
 
 size_t DirEntryEncodedSize(const DirEntry& entry) {

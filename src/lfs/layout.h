@@ -239,6 +239,10 @@ struct Checkpoint {
   void EncodeTo(std::span<uint8_t> region) const;
   static Result<Checkpoint> DecodeFrom(std::span<const uint8_t> region);
 
+  // Range checks against the superblock for fields that size in-memory
+  // tables; mount and the offline checker both run them before loading.
+  Status ValidateAgainst(const Superblock& sb) const;
+
   // Region size needed for the given chunk counts.
   static uint32_t RegionBlocks(uint32_t block_size, uint32_t imap_chunks, uint32_t usage_chunks);
 };

@@ -535,19 +535,19 @@ class LfsFileSystem : public FileSystem {
   };
   // Collects a segment's live blocks, either by reading the whole segment
   // (the paper's conservative default) or by reading summaries first and
-  // then only the live block runs (cleaner_read_live_blocks_only).
+  // then only the live block runs (cleaner_read_live_blocks_only, and
+  // partial compaction).
   // `media_damage` is set when the segment could not be fully collected
   // because of unreadable or CRC-failing blocks; whatever live blocks were
   // recovered before the damage are still appended to `out`.
   Status CollectLiveBlocksWhole(SegNo seg, std::vector<LiveBlock>* out, bool* media_damage);
-  Status CollectLiveBlocksSparse(SegNo seg, std::vector<LiveBlock>* out, bool* media_damage);
-  // Partial compaction: resumes the summary-chain walk at the victim's
-  // compact cursor, collects at most `max_blocks` live blocks (coalesced run
-  // reads, as the sparse path), advances the cursor, and reports whether the
-  // chain was fully walked (`exhausted`).
-  Status CollectLiveBlocksPartial(SegNo seg, uint32_t max_blocks,
-                                  std::vector<LiveBlock>* out, bool* media_damage,
-                                  bool* exhausted);
+  // The summary-first walk starts at block offset `start`, stops at the
+  // first partial-write boundary once `max_blocks` live blocks are gathered,
+  // and tags each with `drain_src`. Returns the offset where the walk
+  // stopped, or segment_blocks when it reached the end of the chain.
+  Result<uint32_t> CollectLiveBlocksSparse(SegNo seg, uint32_t start, uint32_t max_blocks,
+                                           SegNo drain_src, std::vector<LiveBlock>* out,
+                                           bool* media_damage);
 
   // --- recovery (lfs_recovery.cpp) ---
 

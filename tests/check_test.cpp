@@ -3,7 +3,9 @@
 // images must be detected; crashed (tail-bearing) images must remain
 // error-free (the tail is recoverable, not corrupt).
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -45,6 +47,25 @@ class CheckTest : public ::testing::Test {
     ASSERT_OK(fs_->ForceClean().status());
     ASSERT_OK(fs_->Unmount());
     fs_.reset();
+  }
+
+  // Decodes the newest checkpoint region; `base` receives its address.
+  void ReadNewestCheckpoint(Checkpoint* newest, BlockNo* base) {
+    std::vector<uint8_t> block(cfg_.block_size);
+    ASSERT_TRUE(disk_->Read(0, 1, block).ok());
+    ASSERT_OK_AND_ASSIGN(Superblock sb, Superblock::DecodeFrom(block));
+    std::vector<uint8_t> region(size_t{sb.cr_blocks} * cfg_.block_size);
+    bool have = false;
+    for (BlockNo b : {sb.cr_base0, sb.cr_base1}) {
+      ASSERT_TRUE(disk_->Read(b, sb.cr_blocks, region).ok());
+      auto ck = Checkpoint::DecodeFrom(region);
+      if (ck.ok() && (!have || ck->ckpt_seq > newest->ckpt_seq)) {
+        *newest = std::move(ck).value();
+        *base = b;
+        have = true;
+      }
+    }
+    ASSERT_TRUE(have);
   }
 
   LfsConfig cfg_;
@@ -151,22 +172,9 @@ TEST_F(CheckTest, DetectsCorruptedInodeBlock) {
 TEST_F(CheckTest, DetectsTrashedImapChunk) {
   ChurnAndUnmount();
   // Read the newest checkpoint to find an imap chunk, then trash it.
-  std::vector<uint8_t> block(cfg_.block_size);
-  ASSERT_TRUE(disk_->Read(0, 1, block).ok());
-  auto sb = Superblock::DecodeFrom(block);
-  ASSERT_TRUE(sb.ok());
-  std::vector<uint8_t> region(size_t{sb->cr_blocks} * cfg_.block_size);
   Checkpoint newest;
-  bool have = false;
-  for (BlockNo base : {sb->cr_base0, sb->cr_base1}) {
-    ASSERT_TRUE(disk_->Read(base, sb->cr_blocks, region).ok());
-    auto ck = Checkpoint::DecodeFrom(region);
-    if (ck.ok() && (!have || ck->ckpt_seq > newest.ckpt_seq)) {
-      newest = std::move(ck).value();
-      have = true;
-    }
-  }
-  ASSERT_TRUE(have);
+  BlockNo base = kNilBlock;
+  ASSERT_NO_FATAL_FAILURE(ReadNewestCheckpoint(&newest, &base));
   BlockNo victim = newest.imap_chunk_addr[0];
   auto raw = disk_->raw();
   for (uint32_t i = 0; i < cfg_.block_size; i++) {
@@ -174,6 +182,36 @@ TEST_F(CheckTest, DetectsTrashedImapChunk) {
   }
   ASSERT_OK_AND_ASSIGN(CheckReport report, CheckLfsImage(disk_.get()));
   EXPECT_GT(report.errors, 0u) << report.Summary();
+}
+
+TEST_F(CheckTest, InodeCountPastMaxInodesIsAFindingNotACrash) {
+  // A re-sealed checkpoint whose imap high-water mark exceeds the
+  // superblock's max_inodes must come back as a Status from Mount and as a
+  // finding from the checker, which would otherwise size its imap copy from
+  // it (2^32-1 entries: std::bad_alloc).
+  ChurnAndUnmount();
+  Checkpoint newest;
+  BlockNo base = kNilBlock;
+  ASSERT_NO_FATAL_FAILURE(ReadNewestCheckpoint(&newest, &base));
+  newest.ninodes = UINT32_MAX;
+  std::vector<uint8_t> block(cfg_.block_size);
+  ASSERT_TRUE(disk_->Read(0, 1, block).ok());
+  ASSERT_OK_AND_ASSIGN(Superblock sb, Superblock::DecodeFrom(block));
+  std::vector<uint8_t> region(size_t{sb.cr_blocks} * cfg_.block_size);
+  newest.EncodeTo(region);
+  ASSERT_OK(disk_->Write(base, sb.cr_blocks, region));
+
+  auto mounted = LfsFileSystem::Mount(disk_.get(), cfg_);
+  ASSERT_FALSE(mounted.ok());
+  EXPECT_EQ(mounted.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(mounted.status().message().find("ninodes"), std::string::npos)
+      << mounted.status().ToString();
+  ASSERT_OK_AND_ASSIGN(CheckReport report, CheckLfsImage(disk_.get()));
+  bool flagged = false;
+  for (const CheckFinding& f : report.findings) {
+    flagged = flagged || (f.error && f.invariant == "checkpoint.ninodes_range");
+  }
+  EXPECT_TRUE(flagged) << report.Summary();
 }
 
 TEST_F(CheckTest, InodeSizePastTheBlockTreeIsCorruptionNotACrash) {
@@ -246,6 +284,40 @@ TEST_F(CheckTest, CleanAfterCrashRecoveryRoundTrip) {
   fs.reset();
   ASSERT_OK_AND_ASSIGN(CheckReport report, CheckLfsImage(&crash));
   EXPECT_EQ(report.errors, 0u) << report.Summary();
+}
+
+// A checkpoint sweep: after every small write and Sync, the image on the
+// raw device must check clean. A checkpoint whose own metadata appends roll
+// into a fresh segment after that segment's usage chunk was encoded leaves
+// the chunk calling a segment that hosts live metadata CLEAN; the image stays
+// corrupt only until a later checkpoint rewrites that chunk, so a concurrent
+// storm checked once at the end rarely sees it, while checking after every
+// checkpoint of this deterministic run does.
+TEST(CheckpointSweepTest, EveryCheckpointLeavesACleanImage) {
+  LfsConfig cfg = SmallConfig();
+  cfg.segment_blocks = 32;
+  MemDisk disk(cfg.block_size, 8192);
+  ASSERT_OK_AND_ASSIGN(auto fs, LfsFileSystem::Mkfs(&disk, cfg));
+  constexpr int kFiles = 64;
+  constexpr int kSteps = 400;
+  std::vector<InodeNum> inos;
+  for (int i = 0; i < kFiles; i++) {
+    ASSERT_OK_AND_ASSIGN(InodeNum ino, fs->Create("/f" + std::to_string(i)));
+    inos.push_back(ino);
+  }
+  Rng rng(1);
+  for (int step = 0; step < kSteps; step++) {
+    InodeNum ino = inos[rng.NextBelow(kFiles)];
+    ASSERT_OK(fs->WriteAt(ino, 0, TestContent(step, 1 + rng.NextBelow(6 * 1024))));
+    ASSERT_OK(fs->Sync());
+    ASSERT_OK_AND_ASSIGN(CheckReport report, CheckLfsImage(&disk));
+    std::string detail;
+    for (const auto& m : report.messages) {
+      detail += "\n  " + m;
+    }
+    ASSERT_EQ(report.errors, 0u) << "step " << step << ": " << report.Summary() << detail;
+  }
+  ASSERT_OK(fs->Unmount());
 }
 
 }  // namespace

@@ -15,11 +15,16 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
+#include <map>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include "src/cache/cached_device.h"
 #include "src/disk/crash_disk.h"
@@ -578,6 +583,253 @@ TEST_P(GroupCommitCrashTest, CrashMidStormPreservesSyncedState) {
 
 INSTANTIATE_TEST_SUITE_P(CrashPoints, GroupCommitCrashTest,
                          ::testing::Values(0u, 3u, 12u, 40u, 110u, 260u));
+
+// Per-directory storm: each thread owns one directory and churns a few
+// names through create+write, overwrite, read-verify, rename and unlink,
+// checking every read against its own reference model. With so few names
+// per thread, inode numbers are freed and handed to another thread's Create
+// all the time: the schedule in which an unlink that frees the number before
+// tearing down the old owner's in-memory state destroys the new owner's.
+// Afterwards the mounted namespace is walked against the models, then the
+// image goes through Sync, Unmount, lfsck on the raw device, and a remount
+// that re-reads every file.
+struct StormShape {
+  const char* name;
+  uint64_t seed;
+  uint64_t disk_blocks;
+  // 4-KB files written before the storm, every third one overwritten, so
+  // the storm starts on segments that mix live and dead blocks.
+  int prefill_files;
+  // Adaptive cleaning, partial compaction and a cleaner QoS bucket; the
+  // test then demands that cleaner passes and partial drains both ran.
+  bool fine_grained;
+};
+
+// Test listings print the shape's name rather than its bytes.
+void PrintTo(const StormShape& shape, std::ostream* os) { *os << shape.name; }
+
+class DirectoryStormTest : public ::testing::TestWithParam<StormShape> {};
+
+// Runs fn(0..n-1) on n threads that start together, each pinned to a CPU of
+// its own when the process may use at least n: a scheduler that leaves new
+// threads on their parent's CPU would time-slice the storm, and the races it
+// exists to open would almost never open.
+void RunTogether(int n, const std::function<void(int)>& fn) {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  std::vector<int> cpus;
+  if (sched_getaffinity(0, sizeof allowed, &allowed) == 0) {
+    for (int c = 0; c < CPU_SETSIZE; c++) {
+      if (CPU_ISSET(c, &allowed)) {
+        cpus.push_back(c);
+      }
+    }
+  }
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < n; t++) {
+    threads.emplace_back([&, t] {
+      if (cpus.size() >= static_cast<size_t>(n)) {
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(cpus[t], &one);
+        pthread_setaffinity_np(pthread_self(), sizeof one, &one);
+      }
+      ready++;
+      while (ready.load() < n) {
+        std::this_thread::yield();
+      }
+      fn(t);
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+}
+
+TEST_P(DirectoryStormTest, ModelsLfsckAndRemountAgree) {
+  const StormShape& shape = GetParam();
+  constexpr int kStormThreads = 4;
+  constexpr int kStormOps = 1000;
+  constexpr uint64_t kNames = 4;  // per thread, and as many rename targets
+
+  LfsConfig cfg = ConcurrentConfig();
+  if (shape.fine_grained) {
+    cfg.adaptive_cleaning = true;
+    cfg.partial_compaction = true;
+    cfg.cleaner_qos_bytes_per_sec = 4.0 * 1024 * 1024;
+  }
+  MemDisk disk(cfg.block_size, shape.disk_blocks);
+  auto fs = std::move(LfsFileSystem::Mkfs(&disk, cfg)).value();
+
+  struct File {
+    InodeNum ino = kNilInode;
+    std::vector<uint8_t> content;
+  };
+  using Model = std::map<std::string, File>;  // name in the directory -> file
+  std::map<std::string, Model> dirs;           // directory path -> its model
+
+  if (shape.prefill_files > 0) {
+    ASSERT_OK(fs->Mkdir("/pre"));
+    Model& pre = dirs["/pre"];
+    for (int i = 0; i < shape.prefill_files; i++) {
+      ASSERT_OK_AND_ASSIGN(InodeNum ino, fs->Create("/pre/f" + std::to_string(i)));
+      File& f = pre["f" + std::to_string(i)];
+      f = File{ino, TestContent(i, 4096)};
+      ASSERT_OK(fs->WriteAt(ino, 0, f.content));
+    }
+    for (int i = 0; i < shape.prefill_files; i += 3) {
+      File& f = pre["f" + std::to_string(i)];
+      f.content = TestContent(100000 + i, 4096);
+      ASSERT_OK(fs->WriteAt(f.ino, 0, f.content));
+    }
+  }
+  std::vector<Model*> models;
+  for (int t = 0; t < kStormThreads; t++) {
+    std::string dir = "/t" + std::to_string(t);
+    ASSERT_OK(fs->Mkdir(dir));
+    models.push_back(&dirs[dir]);
+  }
+
+  auto storm = [&](int t) {
+    const std::string dir = "/t" + std::to_string(t) + "/";
+    Model& model = *models[t];
+    Rng rng(shape.seed * 7919 + t);
+    auto any_file = [&] {
+      auto it = model.begin();
+      std::advance(it, rng.NextBelow(model.size()));
+      return it;
+    };
+    for (int i = 0; i < kStormOps; i++) {
+      double dice = rng.NextDouble();
+      if (dice < 0.35 || model.empty()) {  // create + write
+        std::string name = std::string("f") + std::to_string(rng.NextBelow(kNames));
+        if (model.count(name) != 0) {
+          continue;
+        }
+        auto ino = fs->Create(dir + name);
+        if (!ino.ok()) {
+          ADD_FAILURE() << "create " << dir << name << ": " << ino.status().ToString();
+          return;
+        }
+        std::vector<uint8_t> data =
+            TestContent(rng.NextU64(), 512 + rng.NextBelow(8 * 1024));
+        Status st = fs->WriteAt(*ino, 0, data);
+        if (!st.ok()) {
+          ADD_FAILURE() << "write " << dir << name << ": " << st.ToString();
+          return;
+        }
+        model[name] = File{*ino, std::move(data)};
+      } else if (dice < 0.55) {  // overwrite a prefix
+        auto it = any_file();
+        std::vector<uint8_t> data = TestContent(rng.NextU64(), 1 + rng.NextBelow(2 * 1024));
+        Status st = fs->WriteAt(it->second.ino, 0, data);
+        if (!st.ok()) {
+          ADD_FAILURE() << "overwrite " << dir << it->first << ": " << st.ToString();
+          return;
+        }
+        std::vector<uint8_t>& content = it->second.content;
+        content.resize(std::max(content.size(), data.size()));
+        std::copy(data.begin(), data.end(), content.begin());
+      } else if (dice < 0.7) {  // read back and verify
+        auto it = any_file();
+        std::vector<uint8_t> got(it->second.content.size());
+        auto n = fs->ReadAt(it->second.ino, 0, got);
+        if (!n.ok() || *n != got.size() || got != it->second.content) {
+          ADD_FAILURE() << "read " << dir << it->first << " (ino " << it->second.ino
+                        << ") disagrees with the model"
+                        << (n.ok() ? "" : ": " + n.status().ToString());
+          return;
+        }
+      } else if (dice < 0.85) {  // rename to an absent target
+        auto it = any_file();
+        std::string to = std::string("r") + std::to_string(rng.NextBelow(kNames));
+        if (model.count(to) != 0) {
+          continue;
+        }
+        Status st = fs->Rename(dir + it->first, dir + to);
+        if (!st.ok()) {
+          ADD_FAILURE() << "rename " << dir << it->first << " -> " << to << ": "
+                        << st.ToString();
+          return;
+        }
+        model[to] = std::move(it->second);
+        model.erase(it);
+      } else {  // unlink
+        auto it = any_file();
+        Status st = fs->Unlink(dir + it->first);
+        if (!st.ok()) {
+          ADD_FAILURE() << "unlink " << dir << it->first << ": " << st.ToString();
+          return;
+        }
+        model.erase(it);
+      }
+    }
+  };
+  RunTogether(kStormThreads, storm);
+  ASSERT_FALSE(HasFailure()) << "storm failed (seed " << shape.seed << ")";
+
+  // The root lists exactly the model's directories; each directory lists
+  // exactly its model's names, each resolving to the model's inode and
+  // reading back the model's bytes.
+  auto verify = [&](LfsFileSystem* f, const char* when) {
+    auto root = f->ReadDir("/");
+    ASSERT_TRUE(root.ok()) << when << ": " << root.status().ToString();
+    ASSERT_EQ(root->size(), dirs.size()) << when;
+    for (const DirEntry& de : *root) {
+      auto dir = dirs.find("/" + de.name);
+      ASSERT_NE(dir, dirs.end()) << when << ": unexpected /" << de.name;
+      auto entries = f->ReadDir(dir->first);
+      ASSERT_TRUE(entries.ok()) << when << ": " << entries.status().ToString();
+      EXPECT_EQ(entries->size(), dir->second.size()) << when << ": " << dir->first;
+      for (const DirEntry& e : *entries) {
+        std::string path = dir->first + "/" + e.name;
+        auto file = dir->second.find(e.name);
+        if (file == dir->second.end()) {
+          ADD_FAILURE() << when << ": " << path << " is not in the model";
+          continue;
+        }
+        EXPECT_EQ(e.ino, file->second.ino) << when << ": " << path;
+        auto st = f->Stat(e.ino);
+        ASSERT_TRUE(st.ok()) << when << ": " << path << ": " << st.status().ToString();
+        EXPECT_EQ(st->size, file->second.content.size()) << when << ": " << path;
+        std::vector<uint8_t> got(file->second.content.size());
+        auto n = f->ReadAt(e.ino, 0, got);
+        ASSERT_TRUE(n.ok()) << when << ": " << path << ": " << n.status().ToString();
+        EXPECT_EQ(got, file->second.content) << when << ": " << path;
+      }
+    }
+  };
+  verify(fs.get(), "mounted");
+  ASSERT_FALSE(HasFailure());
+
+  ASSERT_OK(fs->Sync());
+  if (shape.fine_grained) {
+    EXPECT_GT(fs->stats().cleaner_passes, 0u);
+    EXPECT_GT(fs->stats().partial_compactions, 0u);
+  }
+  ASSERT_OK(fs->Unmount());
+  fs.reset();
+  auto report = CheckLfsImage(&disk);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  std::string detail;
+  for (const auto& m : report->messages) {
+    detail += "\n  " + m;
+  }
+  EXPECT_EQ(report->errors, 0u) << report->Summary() << detail;
+
+  ASSERT_OK_AND_ASSIGN(auto fs2, LfsFileSystem::Mount(&disk, cfg));
+  verify(fs2.get(), "remounted");
+  ASSERT_OK(fs2->Unmount());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, DirectoryStormTest,
+    ::testing::Values(StormShape{"Reuse", 1, 8192, 0, false},
+                      StormShape{"Cleaner", 2, 2048, 250, true}),
+    [](const ::testing::TestParamInfo<StormShape>& shape) {
+      return std::string(shape.param.name);
+    });
 
 }  // namespace
 }  // namespace lfs
