@@ -1,6 +1,7 @@
 #include "src/cache/block_cache.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace lfs::cache {
@@ -26,105 +27,102 @@ BlockCache::BlockCache(const BlockCacheConfig& config, WritebackFn writeback,
       writeback_(std::move(writeback)),
       tracer_(tracer) {
   uint32_t shards = std::max<uint32_t>(1, config.shards);
-  shards = static_cast<uint32_t>(std::min<uint64_t>(shards, capacity_));
+  shards = std::bit_floor(static_cast<uint32_t>(std::min<uint64_t>(shards, capacity_)));
   shards_ = std::vector<Shard>(shards);
+  shard_mask_ = shards - 1;
   shard_capacity_ = (capacity_ + shards - 1) / shards;
 }
 
 BlockCache::~BlockCache() = default;
 
 uint32_t BlockCache::ShardOf(BlockNo block) const {
-  return static_cast<uint32_t>(MixBlock(block) % shards_.size());
+  return static_cast<uint32_t>(MixBlock(block)) & shard_mask_;
 }
 
-void BlockCache::Touch(Shard& shard, Frame& frame, BlockNo block) {
-  if (frame.lru_it != shard.lru.begin()) {
-    shard.lru.erase(frame.lru_it);
-    shard.lru.push_front(block);
-    frame.lru_it = shard.lru.begin();
-  }
+void BlockCache::Touch(Shard& shard, Frame& frame) {
+  shard.lru.splice(shard.lru.begin(), shard.lru, frame.lru_it);
 }
 
-bool BlockCache::Get(BlockNo block, std::span<uint8_t> out) {
+void BlockCache::Drop(Shard& shard, FrameIt it) {
+  shard.lru.erase(it->second.lru_it);
+  shard.frames.erase(it);
+  shard.stats.evictions++;
+}
+
+bool BlockCache::Get(BlockNo block, std::span<uint8_t> out, uint64_t tag) {
   Shard& shard = shards_[ShardOf(block)];
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.frames.find(block);
-  if (it == shard.frames.end()) {
-    stats_.misses++;
+  if (it == shard.frames.end() || it->second.tag != tag) {
+    if (it != shard.frames.end()) {
+      Drop(shard, it);
+    }
+    shard.stats.misses++;
     return false;
   }
   Frame& frame = it->second;
   std::memcpy(out.data(), frame.data.data(),
               std::min<size_t>(out.size(), frame.data.size()));
-  Touch(shard, frame, block);
-  stats_.hits++;
+  Touch(shard, frame);
+  shard.stats.hits++;
   return true;
 }
 
 void BlockCache::EvictIfFull(Shard& shard) {
   while (shard.frames.size() >= shard_capacity_) {
-    // LRU-first scan for an unpinned victim.
-    BlockNo victim = kNilBlock;
-    bool found = false;
+    // LRU-first scan for a victim whose contents are safe to drop.
+    auto victim = shard.frames.end();
     for (auto rit = shard.lru.rbegin(); rit != shard.lru.rend(); ++rit) {
-      Frame& f = shard.frames.at(*rit);
-      if (f.refcount == 0) {
-        if (f.dirty) {
-          // Writeback-then-drop is atomic under the shard lock: no reader
-          // can fetch the block from the device in the window where the
-          // device copy is stale.
-          Status st = writeback_(*rit, 1, f.data);
-          if (!st.ok()) {
-            continue;  // keep the dirty frame; try an older victim
-          }
-          stats_.dirty_evictions++;
-          stats_.writebacks++;
-          stats_.writeback_blocks++;
-          LFS_TRACE(tracer_, obs::TraceEventType::kCacheWriteback, obs::OpType::kNone,
-                    0, *rit, 1, 0.0);
+      auto it = shard.frames.find(*rit);
+      if (it->second.dirty) {
+        // Writeback-then-drop is atomic under the shard lock: no reader
+        // can fetch the block from the device in the window where the
+        // device copy is stale.
+        if (!writeback_(*rit, 1, it->second.data).ok()) {
+          continue;  // keep the dirty frame; try the next victim
         }
-        victim = *rit;
-        found = true;
-        break;
+        shard.stats.dirty_evictions++;
+        shard.stats.writebacks++;
+        shard.stats.writeback_blocks++;
+        LFS_TRACE(tracer_, obs::TraceEventType::kCacheWriteback, obs::OpType::kNone,
+                  0, *rit, 1, 0.0);
       }
+      victim = it;
+      break;
     }
-    if (!found) {
-      stats_.pin_overcommits++;
-      return;  // every frame pinned (or unevictable): overcommit
+    if (victim == shard.frames.end()) {
+      return;  // every writeback failed: overcommit
     }
-    Frame& f = shard.frames.at(victim);
     LFS_TRACE(tracer_, obs::TraceEventType::kCacheEvict, obs::OpType::kNone, 0,
-              victim, f.dirty ? 1 : 0, 0.0);
-    shard.lru.erase(f.lru_it);
-    shard.frames.erase(victim);
-    stats_.evictions++;
+              victim->first, victim->second.dirty ? 1 : 0, 0.0);
+    Drop(shard, victim);
   }
 }
 
-BlockCache::Frame* BlockCache::Insert(Shard& shard, BlockNo block,
-                                      std::span<const uint8_t> data, bool dirty) {
+void BlockCache::Insert(Shard& shard, BlockNo block, std::span<const uint8_t> data,
+                        bool dirty, uint64_t tag) {
   EvictIfFull(shard);
   shard.lru.push_front(block);
   Frame frame;
   frame.data.assign(data.begin(), data.end());
   frame.data.resize(block_size_, 0);
   frame.dirty = dirty;
+  frame.tag = tag;
   frame.lru_it = shard.lru.begin();
-  auto [it, inserted] = shard.frames.emplace(block, std::move(frame));
-  stats_.insertions++;
-  return &it->second;
+  shard.frames.emplace(block, std::move(frame));
+  shard.stats.insertions++;
 }
 
-void BlockCache::PutClean(BlockNo block, std::span<const uint8_t> data) {
+void BlockCache::PutClean(BlockNo block, std::span<const uint8_t> data, uint64_t tag) {
   Shard& shard = shards_[ShardOf(block)];
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.frames.find(block);
   if (it != shard.frames.end()) {
     // Resident already (racing fill or newer dirty contents): keep it.
-    Touch(shard, it->second, block);
+    Touch(shard, it->second);
     return;
   }
-  Insert(shard, block, data, /*dirty=*/false);
+  Insert(shard, block, data, /*dirty=*/false, tag);
 }
 
 void BlockCache::PutDirty(BlockNo block, std::span<const uint8_t> data) {
@@ -136,44 +134,10 @@ void BlockCache::PutDirty(BlockNo block, std::span<const uint8_t> data) {
     frame.data.assign(data.begin(), data.end());
     frame.data.resize(block_size_, 0);
     frame.dirty = true;
-    Touch(shard, frame, block);
+    Touch(shard, frame);
     return;
   }
-  Insert(shard, block, data, /*dirty=*/true);
-}
-
-void BlockCache::PutThrough(BlockNo block, std::span<const uint8_t> data) {
-  Shard& shard = shards_[ShardOf(block)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.frames.find(block);
-  if (it != shard.frames.end()) {
-    Frame& frame = it->second;
-    frame.data.assign(data.begin(), data.end());
-    frame.data.resize(block_size_, 0);
-    Touch(shard, frame, block);
-    return;
-  }
-  Insert(shard, block, data, /*dirty=*/false);
-}
-
-bool BlockCache::Pin(BlockNo block) {
-  Shard& shard = shards_[ShardOf(block)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.frames.find(block);
-  if (it == shard.frames.end()) {
-    return false;
-  }
-  it->second.refcount++;
-  return true;
-}
-
-void BlockCache::Unpin(BlockNo block) {
-  Shard& shard = shards_[ShardOf(block)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.frames.find(block);
-  if (it != shard.frames.end() && it->second.refcount > 0) {
-    it->second.refcount--;
-  }
+  Insert(shard, block, data, /*dirty=*/true, /*tag=*/0);
 }
 
 bool BlockCache::Contains(BlockNo block) const {
@@ -187,6 +151,12 @@ bool BlockCache::IsDirty(BlockNo block) const {
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.frames.find(block);
   return it != shard.frames.end() && it->second.dirty;
+}
+
+void BlockCache::NoteMisses(BlockNo block, uint64_t n) {
+  Shard& shard = shards_[ShardOf(block)];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  shard.stats.misses += n;
 }
 
 Status BlockCache::FlushAll() {
@@ -238,8 +208,9 @@ Status BlockCache::FlushAll() {
       for (size_t k = i; k < j; k++) {
         shards_[ShardOf(dirty[k])].frames.at(dirty[k]).dirty = false;
       }
-      stats_.writebacks++;
-      stats_.writeback_blocks += count;
+      BlockCacheStats& stats = shards_[ShardOf(dirty[i])].stats;
+      stats.writebacks++;
+      stats.writeback_blocks += count;
       LFS_TRACE(tracer_, obs::TraceEventType::kCacheWriteback, obs::OpType::kNone,
                 0, dirty[i], count, 0.0);
     } else if (result.ok()) {
@@ -254,36 +225,29 @@ Status BlockCache::FlushAll() {
 
 void BlockCache::Invalidate(BlockNo block, uint64_t count) {
   for (uint64_t i = 0; i < count; i++) {
-    BlockNo b = block + i;
-    Shard& shard = shards_[ShardOf(b)];
+    Shard& shard = shards_[ShardOf(block + i)];
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.frames.find(b);
-    if (it == shard.frames.end()) {
-      continue;
+    auto it = shard.frames.find(block + i);
+    if (it != shard.frames.end()) {
+      Drop(shard, it);
     }
-    if (it->second.refcount > 0) {
-      it->second.dirty = false;  // dead contents must not be written back
-      continue;
-    }
-    shard.lru.erase(it->second.lru_it);
-    shard.frames.erase(it);
-    stats_.evictions++;
   }
 }
 
-void BlockCache::DropClean() {
-  for (Shard& shard : shards_) {
+BlockCacheStats BlockCache::stats() const {
+  BlockCacheStats sum;
+  for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto it = shard.frames.begin(); it != shard.frames.end();) {
-      if (!it->second.dirty && it->second.refcount == 0) {
-        shard.lru.erase(it->second.lru_it);
-        it = shard.frames.erase(it);
-        stats_.evictions++;
-      } else {
-        ++it;
-      }
-    }
+    const BlockCacheStats& s = shard.stats;
+    sum.hits += s.hits;
+    sum.misses += s.misses;
+    sum.insertions += s.insertions;
+    sum.evictions += s.evictions;
+    sum.dirty_evictions += s.dirty_evictions;
+    sum.writebacks += s.writebacks;
+    sum.writeback_blocks += s.writeback_blocks;
   }
+  return sum;
 }
 
 uint64_t BlockCache::size() const {

@@ -19,7 +19,6 @@ BlockCacheConfig CacheConfigFor(BlockDevice* inner, const CachedDeviceOptions& o
 CachedBlockDevice::CachedBlockDevice(BlockDevice* inner, const CachedDeviceOptions& options,
                                      obs::TraceBuffer* tracer)
     : inner_(inner),
-      write_through_(options.write_through),
       cache_(CacheConfigFor(inner, options),
              [inner](BlockNo block, uint64_t count, std::span<const uint8_t> data) {
                return inner->Write(block, count, data);
@@ -45,7 +44,7 @@ Status CachedBlockDevice::Read(BlockNo block, uint64_t count, std::span<uint8_t>
       run_end++;
     }
     std::span<uint8_t> run = out.subspan(i * bs, (run_end - i) * bs);
-    cache_.NoteMisses(run_end - i - 1);  // Get already counted the run head
+    cache_.NoteMisses(block + i, run_end - i - 1);  // Get already counted the run head
     LFS_RETURN_IF_ERROR(inner_->Read(block + i, run_end - i, run));
     for (uint64_t k = i; k < run_end; k++) {
       cache_.PutClean(block + k, out.subspan(k * bs, bs));
@@ -59,13 +58,6 @@ Status CachedBlockDevice::Write(BlockNo block, uint64_t count,
                                 std::span<const uint8_t> data) {
   LFS_RETURN_IF_ERROR(CheckRange(block, count, data.size()));
   const uint32_t bs = block_size();
-  if (write_through_) {
-    LFS_RETURN_IF_ERROR(inner_->Write(block, count, data));
-    for (uint64_t i = 0; i < count; i++) {
-      cache_.PutThrough(block + i, data.subspan(i * bs, bs));
-    }
-    return OkStatus();
-  }
   for (uint64_t i = 0; i < count; i++) {
     cache_.PutDirty(block + i, data.subspan(i * bs, bs));
   }

@@ -5,12 +5,9 @@
 // Reads are served per-block from the cache; the uncached stretches of a
 // multi-block request are fetched with run-granular reads of the inner
 // device and admitted as clean frames, so a re-read-heavy workload touches
-// the modeled disk only on first access. Writes are write-back by default:
-// blocks become dirty frames and reach the inner device on eviction or
-// Flush(), coalesced into sorted sequential runs. Write-through mode
-// forwards every write immediately (preserving the inner device's write
-// ordering — required under crash/fault injection) and keeps the cache as a
-// read accelerator only.
+// the modeled disk only on first access. Writes are write-back: blocks
+// become dirty frames and reach the inner device on eviction or Flush(),
+// coalesced into sorted sequential runs.
 //
 // ModeledTime() forwards to the inner device, so cache hits cost zero
 // modeled disk time — exactly the paper's "reads that hit in the cache are
@@ -34,7 +31,6 @@ namespace lfs::cache {
 struct CachedDeviceOptions {
   uint64_t capacity_blocks = 4096;
   uint32_t shards = 8;
-  bool write_through = false;
 };
 
 class CachedBlockDevice : public BlockDevice {
@@ -64,7 +60,6 @@ class CachedBlockDevice : public BlockDevice {
 
  private:
   BlockDevice* inner_;
-  bool write_through_;
   BlockCache cache_;
 };
 

@@ -29,68 +29,6 @@ constexpr size_t kFileCacheCap = 16384;
 constexpr uint64_t kTruncateReserve = 4;
 }  // namespace
 
-bool LfsFileSystem::ReadCacheGet(BlockNo addr, std::span<uint8_t> out) const {
-  // Called under the shared fs lock too (reads populate the cache), so the
-  // LRU bookkeeping is serialized by the stripe's own leaf mutex.
-  ReadCacheShard& shard = ReadCacheShardFor(addr);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(addr);
-  if (it == shard.map.end()) {
-    return false;
-  }
-  SegNo seg = sb_.SegOf(addr);
-  if (seg == kNilSeg || usage_.write_seq(seg) != it->second.gen) {
-    // The segment was recycled (or appended to) since caching: drop.
-    shard.lru.erase(it->second.lru_it);
-    shard.map.erase(it);
-    return false;
-  }
-  std::memcpy(out.data(), it->second.data.data(), out.size());
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-  return true;
-}
-
-void LfsFileSystem::ReadCachePut(BlockNo addr, std::span<const uint8_t> data) const {
-  if (cfg_.read_cache_blocks == 0) {
-    return;
-  }
-  SegNo seg = sb_.SegOf(addr);
-  if (seg == kNilSeg) {
-    return;  // fixed-area blocks are not cached
-  }
-  ReadCacheShard& shard = ReadCacheShardFor(addr);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.map.count(addr) != 0) {
-    return;
-  }
-  while (shard.map.size() >= rc_shard_cap_ && !shard.lru.empty()) {
-    BlockNo victim = shard.lru.back();
-    shard.lru.pop_back();
-    shard.map.erase(victim);
-  }
-  shard.lru.push_front(addr);
-  ReadCacheEntry entry;
-  entry.data.assign(data.begin(), data.end());
-  entry.gen = usage_.write_seq(seg);
-  entry.lru_it = shard.lru.begin();
-  shard.map.emplace(addr, std::move(entry));
-}
-
-Status LfsFileSystem::ReadLogBlock(BlockNo addr, std::span<uint8_t> out) const {
-  if (writer_.ReadBuffered(addr, out)) {
-    return OkStatus();
-  }
-  if (ReadCacheGet(addr, out)) {
-    return OkStatus();
-  }
-  if (cfg_.verify_read_crcs) {
-    LFS_RETURN_IF_ERROR(VerifyLogBlockCrcs(addr, 1));
-  }
-  LFS_RETURN_IF_ERROR(DeviceRead(addr, 1, out));
-  ReadCachePut(addr, out);
-  return OkStatus();
-}
-
 Status LfsFileSystem::VerifyLogBlockCrcs(BlockNo addr, uint64_t count) const {
   SegNo seg = sb_.SegOf(addr);
   if (seg == kNilSeg) {
@@ -102,7 +40,7 @@ Status LfsFileSystem::VerifyLogBlockCrcs(BlockNo addr, uint64_t count) const {
   const BlockNo hi = addr + count;
   uint32_t stop = SegmentStopOffset(seg);
   // Walk the partial-write chain until it covers [lo, hi). Reads go straight
-  // to the device (ReadLogBlock would recurse). If the chain is unreadable
+  // to the device (ReadLogRun would recurse). If the chain is unreadable
   // or ends before reaching the target, nothing can be proven here — the
   // caller's own read will surface any I/O error.
   uint32_t off = 0;
@@ -146,6 +84,9 @@ Status LfsFileSystem::VerifyLogBlockCrcs(BlockNo addr, uint64_t count) const {
 
 Status LfsFileSystem::ReadLogRun(BlockNo addr, uint64_t count, std::span<uint8_t> out) const {
   const uint32_t bs = sb_.block_size;
+  // Only segment blocks are cached (kNilSeg: never), each tagged with its
+  // segment's write sequence number at the time of the lookup or fill.
+  auto cache_seg = [&](BlockNo b) { return read_cache_ ? sb_.SegOf(b) : kNilSeg; };
   uint64_t i = 0;
   while (i < count) {
     // Serve writer-buffered and cached blocks individually; everything
@@ -153,8 +94,12 @@ Status LfsFileSystem::ReadLogRun(BlockNo addr, uint64_t count, std::span<uint8_t
     uint64_t j = i;
     while (j < count) {
       std::span<uint8_t> block = out.subspan(j * bs, bs);
-      if (writer_.ReadBuffered(addr + j, block) || ReadCacheGet(addr + j, block)) {
+      if (writer_.ReadBuffered(addr + j, block)) {
         break;  // block j is already filled
+      }
+      SegNo seg = cache_seg(addr + j);
+      if (seg != kNilSeg && read_cache_->Get(addr + j, block, usage_.write_seq(seg))) {
+        break;
       }
       j++;
     }
@@ -164,7 +109,9 @@ Status LfsFileSystem::ReadLogRun(BlockNo addr, uint64_t count, std::span<uint8_t
       }
       LFS_RETURN_IF_ERROR(DeviceRead(addr + i, j - i, out.subspan(i * bs, (j - i) * bs)));
       for (uint64_t k = i; k < j; k++) {
-        ReadCachePut(addr + k, out.subspan(k * bs, bs));
+        if (SegNo seg = cache_seg(addr + k); seg != kNilSeg) {
+          read_cache_->PutClean(addr + k, out.subspan(k * bs, bs), usage_.write_seq(seg));
+        }
       }
     }
     i = j < count ? j + 1 : j;
@@ -178,7 +125,7 @@ Result<Inode> LfsFileSystem::ReadInodeFromDisk(InodeNum ino) const {
     return NotFoundError("inode " + std::to_string(ino) + " not allocated");
   }
   std::vector<uint8_t> block(sb_.block_size);
-  LFS_RETURN_IF_ERROR(ReadLogBlock(e.inode_block, block));
+  LFS_RETURN_IF_ERROR(ReadLogRun(e.inode_block, 1, block));
   if ((e.slot + 1u) * kInodeSlotSize > sb_.block_size) {
     return CorruptionError("imap slot out of range for inode " + std::to_string(ino));
   }
@@ -350,7 +297,7 @@ Result<LfsFileSystem::FileMap> LfsFileSystem::LoadFileMap(const Inode& inode) co
     if (ind_count > 1) {
       fm.dind_addr = inode.double_indirect;
       if (fm.dind_addr != kNilBlock) {
-        LFS_RETURN_IF_ERROR(ReadLogBlock(fm.dind_addr, block));
+        LFS_RETURN_IF_ERROR(ReadLogRun(fm.dind_addr, 1, block));
         Decoder dec(block);
         for (uint64_t j = 1; j < ind_count; j++) {
           fm.ind_addrs[j] = dec.GetU64();
@@ -361,7 +308,7 @@ Result<LfsFileSystem::FileMap> LfsFileSystem::LoadFileMap(const Inode& inode) co
       if (fm.ind_addrs[i] == kNilBlock) {
         continue;  // a hole spanning a whole indirect range
       }
-      LFS_RETURN_IF_ERROR(ReadLogBlock(fm.ind_addrs[i], block));
+      LFS_RETURN_IF_ERROR(ReadLogRun(fm.ind_addrs[i], 1, block));
       Decoder dec(block);
       for (uint32_t j = 0; j < ppb; j++) {
         uint64_t fbn = kNumDirect + i * ppb + j;
@@ -453,7 +400,7 @@ Status LfsFileSystem::ReadFileBlock(FileMap* fm, InodeNum ino, uint64_t fbn,
     std::memset(out.data(), 0, out.size());  // hole
     return OkStatus();
   }
-  return ReadLogBlock(fm->blocks[fbn], out);
+  return ReadLogRun(fm->blocks[fbn], 1, out);
 }
 
 Status LfsFileSystem::EnsureSpaceForWrite(uint64_t new_blocks) {

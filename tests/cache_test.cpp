@@ -1,6 +1,6 @@
 // BlockCache / CachedBlockDevice unit tests: LRU eviction order, dirty
-// write-back ordering and coalescing, pin/unpin semantics, shard
-// distribution, and the device wrapper's run-granular miss handling.
+// write-back ordering and coalescing, tagged lookups, shard distribution,
+// and the device wrapper's run-granular miss handling.
 
 #include <algorithm>
 #include <atomic>
@@ -113,25 +113,25 @@ TEST(BlockCacheTest, PutCleanNeverClobbersDirtyFrame) {
   EXPECT_TRUE(cache.IsDirty(5));
 }
 
-TEST(BlockCacheTest, PinnedFramesSurviveEvictionPressure) {
+TEST(BlockCacheTest, FrameMissesUnderAnotherTagAndIsDropped) {
   Sink sink;
-  BlockCache cache(Config(2, 1), sink.fn());
-  cache.PutDirty(1, Fill(1));
-  cache.PutClean(2, Fill(2));
-  ASSERT_TRUE(cache.Pin(1));
-  ASSERT_TRUE(cache.Pin(2));
-  // Every frame pinned: the shard overcommits rather than evict or fail.
-  cache.PutClean(3, Fill(3));
-  EXPECT_TRUE(cache.Contains(1));
-  EXPECT_TRUE(cache.Contains(2));
-  EXPECT_TRUE(cache.Contains(3));
-  EXPECT_GE(cache.stats().pin_overcommits, 1u);
-  cache.Unpin(1);
-  cache.Unpin(2);
-  // Unpinned again: the next insert can evict.
-  cache.PutClean(4, Fill(4));
-  EXPECT_LE(cache.size(), 3u);
-  EXPECT_FALSE(cache.Pin(99));  // absent block
+  BlockCache cache(Config(8, 1), sink.fn());
+  std::vector<uint8_t> out(kBs);
+  cache.PutClean(7, Fill(0x70), /*tag=*/3);
+  ASSERT_TRUE(cache.Get(7, out, 3));
+  EXPECT_EQ(out, Fill(0x70));
+  // The block's generation moved on: the old frame must not be served...
+  EXPECT_FALSE(cache.Get(7, out, 4));
+  // ...and is gone, not merely skipped: its old tag misses too.
+  EXPECT_FALSE(cache.Contains(7));
+  EXPECT_FALSE(cache.Get(7, out, 3));
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  // A fill under the new tag serves that tag.
+  cache.PutClean(7, Fill(0x71), 4);
+  ASSERT_TRUE(cache.Get(7, out, 4));
+  EXPECT_EQ(out, Fill(0x71));
 }
 
 TEST(BlockCacheTest, FlushAllCoalescesSortedRuns) {
@@ -190,20 +190,6 @@ TEST(BlockCacheTest, ShardDistributionCoversAllShards) {
     total += n;
   }
   EXPECT_EQ(total, cache.size());
-}
-
-TEST(BlockCacheTest, DropCleanKeepsDirtyAndPinned) {
-  Sink sink;
-  BlockCache cache(Config(8, 2), sink.fn());
-  cache.PutClean(1, Fill(1));
-  cache.PutDirty(2, Fill(2));
-  cache.PutClean(3, Fill(3));
-  ASSERT_TRUE(cache.Pin(3));
-  cache.DropClean();
-  EXPECT_FALSE(cache.Contains(1));
-  EXPECT_TRUE(cache.Contains(2));
-  EXPECT_TRUE(cache.Contains(3));
-  cache.Unpin(3);
 }
 
 TEST(BlockCacheTest, ConcurrentMixedTrafficKeepsFramesCoherent) {
@@ -310,25 +296,6 @@ TEST(CachedDeviceTest, WriteBackReachesInnerOnFlush) {
   ASSERT_OK(dev.Flush());
   ASSERT_OK(disk.Read(9, 1, raw));
   EXPECT_EQ(raw, d);
-}
-
-TEST(CachedDeviceTest, WriteThroughReachesInnerImmediately) {
-  MemDisk disk(kBs, 64);
-  CachedDeviceOptions opts;
-  opts.capacity_blocks = 64;
-  opts.write_through = true;
-  CachedBlockDevice dev(&disk, opts);
-  std::vector<uint8_t> d = Fill(0x77);
-  ASSERT_OK(dev.Write(3, 1, d));
-  std::vector<uint8_t> raw(kBs);
-  ASSERT_OK(disk.Read(3, 1, raw));
-  EXPECT_EQ(raw, d);
-  EXPECT_EQ(dev.cache().dirty_count(), 0u);
-  // And the frame serves re-reads.
-  std::vector<uint8_t> out(kBs);
-  ASSERT_OK(dev.Read(3, 1, out));
-  EXPECT_EQ(out, d);
-  EXPECT_EQ(dev.cache().stats().hits, 1u);
 }
 
 }  // namespace
