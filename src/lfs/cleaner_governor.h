@@ -44,11 +44,16 @@ struct GovernorDecision {
 
 class CleanerGovernor {
  public:
+  // A dirty population is "emptied out" when at least kGreedyFraction of
+  // its segments sit below kLowU utilization; an emptied-out population
+  // makes greedy optimal (the cheapest victims are nearly free and age adds
+  // nothing), anything else keeps cost-benefit.
+  static constexpr double kGreedyFraction = 0.35;
+  static constexpr double kLowU = 0.25;
+
   void Configure(const LfsConfig& cfg) {
     enabled_ = cfg.adaptive_cleaning;
     fixed_policy_ = cfg.policy;
-    greedy_fraction_ = cfg.governor_greedy_fraction;
-    low_u_ = cfg.governor_low_u;
     partial_ = cfg.partial_compaction;
   }
 
@@ -71,14 +76,14 @@ class CleanerGovernor {
     for (size_t b = 0; b < n; b++) {
       total += histogram[b];
       // Bucket b holds u < (b+1)/n; count it "low" if that bound stays
-      // within low_u_, so the classification is exact at bucket granularity.
-      if (n > 0 && static_cast<double>(b + 1) / static_cast<double>(n) <= low_u_) {
+      // within kLowU, so the classification is exact at bucket granularity.
+      if (n > 0 && static_cast<double>(b + 1) / static_cast<double>(n) <= kLowU) {
         low += histogram[b];
       }
     }
     bool emptied_out =
         total > 0 && static_cast<double>(low) >=
-                         greedy_fraction_ * static_cast<double>(total);
+                         kGreedyFraction * static_cast<double>(total);
     d.hot_policy = emptied_out ? CleaningPolicy::kGreedy : CleaningPolicy::kCostBenefit;
     d.cold_policy = CleaningPolicy::kCostBenefit;
     if (has_last_ && d.hot_policy != last_hot_) {
@@ -94,8 +99,6 @@ class CleanerGovernor {
  private:
   bool enabled_ = false;
   CleaningPolicy fixed_policy_ = CleaningPolicy::kCostBenefit;
-  double greedy_fraction_ = 0.35;
-  double low_u_ = 0.25;
   bool partial_ = false;
 
   CleaningPolicy last_hot_ = CleaningPolicy::kCostBenefit;

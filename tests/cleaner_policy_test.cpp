@@ -36,7 +36,7 @@ std::vector<uint32_t> Histogram(size_t n) { return std::vector<uint32_t>(n, 0); 
 
 LfsConfig AdaptiveConfig() {
   LfsConfig cfg;
-  cfg.adaptive_cleaning = true;  // governor_greedy_fraction/low_u defaults
+  cfg.adaptive_cleaning = true;
   return cfg;
 }
 
@@ -63,11 +63,10 @@ TEST(CleanerGovernorTest, EmptiedOutHistogramSwitchesHotLogToGreedy) {
 }
 
 TEST(CleanerGovernorTest, ThresholdIsInclusiveAndSwitchesAreCounted) {
-  LfsConfig cfg = AdaptiveConfig();
-  cfg.governor_greedy_fraction = 0.35;
-  cfg.governor_low_u = 0.25;
+  static_assert(CleanerGovernor::kGreedyFraction == 0.35 && CleanerGovernor::kLowU == 0.25,
+                "the counts below sit exactly on these thresholds");
   CleanerGovernor gov;
-  gov.Configure(cfg);
+  gov.Configure(AdaptiveConfig());
 
   // With 64 buckets, buckets 0..15 have (b+1)/64 <= 0.25 and count as "low".
   // low/total = 7/20 is exactly the greedy fraction: inclusive, so greedy.
