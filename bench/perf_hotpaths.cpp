@@ -4,10 +4,10 @@
 // and I/O call-batching, not modeled disk service times) and emit a single
 // machine-readable JSON object on stdout:
 //
-//   victim_selection: indexed SelectSegmentsToClean vs the reference
-//     scan-and-sort, per pass, at 512 and 4096 segments and both policies —
-//     the indexed cost should grow sublinearly in segment count while the
-//     reference grows linearly.
+//   victim_selection: indexed SelectSegmentsToClean vs a scan-and-sort of
+//     the usage table (the selection the index replaced), per pass, at 512
+//     and 4096 segments and both policies — the indexed cost should grow
+//     sublinearly in segment count while the reference grows linearly.
 //   sim: simulator overwrite steps/sec at 512 and 4096 segments (victim
 //     picks ride the same index).
 //   sequential_read: throughput reading a contiguous 32-MB file through one
@@ -17,10 +17,12 @@
 //     measure — coalescing saves the per-request overheads) and as host
 //     wall-clock over the raw in-memory backing.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -35,6 +37,30 @@ namespace {
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+// The scan-and-sort victim selection the index replaced: score every dirty
+// segment in the usage table and sort, best first (ties by segment number).
+std::vector<SegNo> ScanAndSortVictims(const SegUsage& usage, bool greedy, uint64_t now,
+                                      size_t max_segments) {
+  std::vector<std::pair<double, SegNo>> scored;
+  for (SegNo seg = 0; seg < usage.nsegments(); seg++) {
+    const SegUsageEntry& e = usage.Get(seg);
+    double u = usage.Utilization(seg);
+    if (e.state != SegState::kDirty || u >= 1.0) {
+      continue;
+    }
+    double age = static_cast<double>(now - std::min(now, e.last_write));
+    scored.emplace_back(greedy ? 1.0 - u : (1.0 - u) * age / (1.0 + u), seg);
+  }
+  std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  });
+  std::vector<SegNo> victims;
+  for (size_t i = 0; i < scored.size() && i < max_segments; i++) {
+    victims.push_back(scored[i].second);
+  }
+  return victims;
 }
 
 struct SelectionResult {
@@ -100,7 +126,7 @@ SelectionResult BenchSelection(uint32_t target_segments, CleaningPolicy policy,
   uint64_t now = fs->clock().Now();
   t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < reference_iters; i++) {
-    (void)fs->SelectSegmentsToCleanReference(16, now);
+    (void)ScanAndSortVictims(fs->seg_usage(), policy == CleaningPolicy::kGreedy, now, 16);
   }
   r.reference_us = SecondsSince(t0) * 1e6 / reference_iters;
   return r;

@@ -34,7 +34,6 @@ inline void BindLfsStats(MetricsRegistry* r, const std::string& p, const LfsStat
   r->AddGauge(p + "write_cost", s.WriteCost());
   r->AddCounter(p + "checkpoints", s.checkpoints);
   r->AddCounter(p + "recovery.rollforward_partials", s.rollforward_partials);
-  r->AddCounter(p + "selection_mismatches", s.selection_mismatches);
   r->AddCounter(p + "fault.io_retries", s.io_retries);
   r->AddCounter(p + "fault.io_retry_failures", s.io_retry_failures);
   r->AddCounter(p + "fault.read_crc_failures", s.read_crc_failures);
