@@ -77,6 +77,14 @@ bool ExecuteOp(LfsFileSystem* fs, const Op& op) {
   return false;
 }
 
+Result<Superblock> RecordedSuperblock(const Recording& recording) {
+  const uint32_t bs = recording.config.block_size;
+  if (recording.base_image.size() < bs) {
+    return InvalidArgumentError("recording base image too small for a superblock");
+  }
+  return Superblock::DecodeFrom(std::span<const uint8_t>(recording.base_image).first(bs));
+}
+
 // Drives one surviving image through the full oracle; appends at most one
 // failure describing the first phase that rejected it.
 void CheckState(const Recording& rec, const ExploreOptions& opts,
@@ -234,12 +242,16 @@ Result<ExploreReport> ExploreRecording(const Recording& recording,
   if (recording.base_image.empty() || recording.base_image.size() % bs != 0) {
     return InvalidArgumentError("recording has no usable base image");
   }
+  ExploreReport rep;
+  LFS_ASSIGN_OR_RETURN(std::vector<size_t> unflushed, UnflushedCheckpointWrites(recording));
+  for (size_t k : unflushed) {
+    rep.failures.push_back({k, 0, recording.edges[k].op, "barrier-lint",
+                            "checkpoint-region write follows unflushed segment writes"});
+  }
   std::vector<CrashEdge> edges = recording.edges;
   if (options.mutate_edges) {
     options.mutate_edges(edges);
   }
-
-  ExploreReport rep;
   rep.edges = edges.size();
 
   // Running image with an incrementally maintained content hash: per-block
@@ -304,15 +316,32 @@ Result<ExploreReport> ExploreWorkload(const Workload& workload, const ExploreOpt
   return ExploreRecording(rec, options);
 }
 
+Result<std::vector<size_t>> UnflushedCheckpointWrites(const Recording& recording) {
+  LFS_ASSIGN_OR_RETURN(Superblock sb, RecordedSuperblock(recording));
+  auto in_cr = [&](BlockNo b) {
+    return (b >= sb.cr_base0 && b < sb.cr_base0 + sb.cr_blocks) ||
+           (b >= sb.cr_base1 && b < sb.cr_base1 + sb.cr_blocks);
+  };
+  std::vector<size_t> unflushed;
+  bool log_unflushed = false;  // a segment write since the last flush
+  for (size_t k = 0; k < recording.edges.size(); k++) {
+    const CrashEdge& e = recording.edges[k];
+    if (e.kind == CrashEdge::Kind::kFlush) {
+      log_unflushed = false;
+    } else if (e.kind == CrashEdge::Kind::kWrite && in_cr(e.block)) {
+      if (log_unflushed) {
+        unflushed.push_back(k);
+      }
+    } else if (e.kind == CrashEdge::Kind::kWrite && sb.SegOf(e.block) != kNilSeg) {
+      log_unflushed = true;
+    }
+  }
+  return unflushed;
+}
+
 Result<std::function<void(std::vector<CrashEdge>&)>> SkippedCheckpointBarrierMutator(
     const Recording& recording) {
-  const uint32_t bs = recording.config.block_size;
-  if (recording.base_image.size() < bs) {
-    return InvalidArgumentError("recording base image too small for a superblock");
-  }
-  LFS_ASSIGN_OR_RETURN(
-      Superblock sb,
-      Superblock::DecodeFrom(std::span<const uint8_t>(recording.base_image).subspan(0, bs)));
+  LFS_ASSIGN_OR_RETURN(Superblock sb, RecordedSuperblock(recording));
   const BlockNo cr0 = sb.cr_base0;
   const BlockNo cr1 = sb.cr_base1;
   return std::function<void(std::vector<CrashEdge>&)>(

@@ -10,6 +10,10 @@
 //     "write done, everything after lost");
 //   - for each flush and trim edge, the crash at that barrier.
 //
+// Before enumerating, a lint checks the journal itself for the checkpoint
+// write barrier (UnflushedCheckpointWrites); each violation is a
+// "barrier-lint" failure.
+//
 // Equivalence pruning: surviving images are deduplicated by an incremental
 // content hash (per-block hashes combined order-independently), so torn
 // prefixes that coincide with neighbouring crash points, rewrites of
@@ -59,7 +63,8 @@ struct CrashFailure {
   size_t edge = 0;     // journal index of the crash point
   uint64_t torn = 0;   // persisted prefix blocks (write edges)
   int64_t op = -1;     // workload op in flight
-  std::string phase;   // premount-lfsck | mount | oracle | probe | postmount-lfsck
+  std::string phase;   // barrier-lint | premount-lfsck | mount | oracle | probe |
+                       // postmount-lfsck
   std::string detail;
   std::string Describe() const;
 };
@@ -95,7 +100,15 @@ struct ExploreReport {
 // the record itself).
 Result<Recording> RecordWorkload(const Workload& workload);
 
-// Enumerates and checks every crash point of a recording.
+// Journal lint for the checkpoint write barrier: a write into either
+// checkpoint region must not follow a write into the segment area unless a
+// flush comes between them. Otherwise a device that reorders writes between
+// flushes may persist the region before the log blocks it names. Returns
+// the journal indices of the region writes that break the rule.
+Result<std::vector<size_t>> UnflushedCheckpointWrites(const Recording& recording);
+
+// Lints and then enumerates and checks every crash point of a recording.
+// The lint reads the recorded journal, before options.mutate_edges.
 Result<ExploreReport> ExploreRecording(const Recording& recording,
                                        const ExploreOptions& options = {});
 

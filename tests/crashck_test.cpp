@@ -1,11 +1,14 @@
 // Crash-consistency model checker: exhaustive exploration of the canonical
 // workloads must find zero oracle failures (and actually prune states); a
 // recording mutated to skip the pre-checkpoint write barrier must FAIL
-// exploration (the oracle has teeth); the trace minimizer must shrink a
+// exploration (the oracle has teeth), and so must one whose pre-checkpoint
+// flush is deleted (the journal lint); the trace minimizer must shrink a
 // failing workload while preserving its failure; fuzzer scripts round-trip
 // through the text format and explore clean.
 
+#include <span>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -70,6 +73,39 @@ TEST(CrashckTeethTest, SkippedCheckpointBarrierIsDetected) {
   ASSERT_OK_AND_ASSIGN(ExploreReport report, ExploreRecording(recording, options));
   EXPECT_FALSE(report.clean());
   EXPECT_FALSE(report.failures.empty());
+}
+
+TEST(CrashckLintTest, CheckpointWritesFollowAFlush) {
+  for (const char* name : {"smallfiles", "namespace"}) {
+    ASSERT_OK_AND_ASSIGN(Workload w, CanonicalWorkload(name));
+    ASSERT_OK_AND_ASSIGN(Recording recording, RecordWorkload(w));
+    ASSERT_OK_AND_ASSIGN(std::vector<size_t> unflushed, UnflushedCheckpointWrites(recording));
+    EXPECT_TRUE(unflushed.empty()) << name;
+
+    // Delete the flush in front of the last checkpoint-region write: the
+    // lint must flag that write, and exploration must fail on it.
+    ASSERT_OK_AND_ASSIGN(Superblock sb,
+                         Superblock::DecodeFrom(std::span<const uint8_t>(recording.base_image)
+                                                    .first(recording.config.block_size)));
+    size_t cr = recording.edges.size();
+    for (size_t k = 0; k < recording.edges.size(); k++) {
+      const CrashEdge& e = recording.edges[k];
+      if (e.kind == CrashEdge::Kind::kWrite && (e.block == sb.cr_base0 || e.block == sb.cr_base1)) {
+        cr = k;
+      }
+    }
+    ASSERT_LT(cr, recording.edges.size()) << name;
+    ASSERT_GT(cr, 0u) << name;
+    ASSERT_EQ(recording.edges[cr - 1].kind, CrashEdge::Kind::kFlush) << name;
+    recording.edges.erase(recording.edges.begin() + static_cast<std::ptrdiff_t>(cr) - 1);
+    ASSERT_OK_AND_ASSIGN(unflushed, UnflushedCheckpointWrites(recording));
+    EXPECT_EQ(unflushed, std::vector<size_t>{cr - 1}) << name;
+    ExploreOptions options;
+    options.max_states = 1;
+    ASSERT_OK_AND_ASSIGN(ExploreReport report, ExploreRecording(recording, options));
+    ASSERT_FALSE(report.clean()) << name;
+    EXPECT_EQ(report.failures[0].phase, "barrier-lint") << name;
+  }
 }
 
 TEST(CrashckMinimizeTest, MinimizerShrinksSeededFailure) {

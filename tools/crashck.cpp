@@ -6,11 +6,13 @@
 //   crashck explore (--workload NAME | --script FILE | --fuzz-seed N)
 //                   [--max-states N] [--bug reorder-cr] [--expect-fail]
 //                   [--json FILE] [--print-script]
-//       Record the workload once, then enumerate every crash point — each
-//       write edge at every torn-prefix length, plus flush/trim barriers —
-//       deduplicate surviving images by content hash, and drive each unique
-//       state through the recovery oracle (lfsck, remount, reference model,
-//       usability probe). --bug reorder-cr injects a skipped checkpoint
+//       Record the workload once, lint the journal (no checkpoint-region
+//       write may follow unflushed segment writes), then enumerate every
+//       crash point — each write edge at every torn-prefix length, plus
+//       flush/trim barriers — deduplicate surviving images by content hash,
+//       and drive each unique state through the recovery oracle (lfsck,
+//       remount, reference model, usability probe). Lint violations are
+//       failures too. --bug reorder-cr injects a skipped checkpoint
 //       write barrier into the recorded journal; with --expect-fail the exit
 //       code is inverted, so CI can assert the oracle still has teeth.
 //
