@@ -4,7 +4,7 @@
 // independent packed entry list; a parsed DirCache (with a name index) backs
 // lookups. Every namespace mutation appends a directory-operation-log record
 // (Section 4.2) before the affected directory block and inodes reach the
-// log, which is what lets roll-forward restore entry/refcount consistency.
+// log, which is what lets roll-forward restore entry/link-count consistency.
 //
 // Each public operation resolves its path with transient per-directory
 // stripe locks, then acquires every involved inode's stripe in ascending

@@ -346,7 +346,7 @@ Status LfsFileSystem::RollForward(const Checkpoint& ck) {
     sub_if_gone(old_fm.dind_addr, new_fm != nullptr && new_fm->dind_addr == old_fm.dind_addr);
   }
 
-  // --- 4. directory operation log: restore entry/refcount consistency ----------
+  // --- 4. directory operation log: restore entry/link-count consistency ----------
   // Pre-scan for allocation events: every create/mkdir logs the version the
   // inode number carried at allocation. These versions partition the replay
   // window into generations of a reused inode number, letting the replay
