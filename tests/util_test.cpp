@@ -116,6 +116,55 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
   EXPECT_EQ(Crc32Finish(state), Crc32(data));
 }
 
+// The reflected IEEE CRC one byte and one bit at a time, sharing nothing
+// with the library's table or its carry-less folding.
+uint32_t ReferenceCrc32Update(uint32_t state, std::span<const uint8_t> data) {
+  for (uint8_t byte : data) {
+    state ^= byte;
+    for (int bit = 0; bit < 8; bit++) {
+      state = (state & 1) ? (0xEDB88320u ^ (state >> 1)) : (state >> 1);
+    }
+  }
+  return state;
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  // Inputs of 64 bytes or more take the folding path where the CPU has
+  // PCLMULQDQ; shorter inputs and the < 16-byte tails take the table loop.
+  Rng rng(20);
+  std::vector<uint8_t> buf(16 + 300);
+  for (auto& b : buf) {
+    b = static_cast<uint8_t>(rng.NextU64());
+  }
+  for (size_t align = 0; align < 16; align++) {
+    for (size_t len = 0; len <= 300; len++) {
+      auto data = std::span<const uint8_t>(buf).subspan(align, len);
+      uint32_t state = static_cast<uint32_t>(rng.NextU64());
+      ASSERT_EQ(Crc32Update(state, data), ReferenceCrc32Update(state, data))
+          << "align " << align << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, RandomLengthsAndSplitsMatchReference) {
+  Rng rng(21);
+  std::vector<uint8_t> buf(16 + 64 * 1024);
+  for (auto& b : buf) {
+    b = static_cast<uint8_t>(rng.NextU64());
+  }
+  for (int trial = 0; trial < 64; trial++) {
+    size_t align = rng.NextBelow(16);
+    size_t len = rng.NextBelow(64 * 1024 + 1);
+    size_t split = rng.NextBelow(len + 1);
+    auto data = std::span<const uint8_t>(buf).subspan(align, len);
+    uint32_t state = static_cast<uint32_t>(rng.NextU64());
+    uint32_t expect = ReferenceCrc32Update(state, data);
+    ASSERT_EQ(Crc32Update(state, data), expect) << "align " << align << " len " << len;
+    uint32_t pieces = Crc32Update(Crc32Update(state, data.first(split)), data.subspan(split));
+    ASSERT_EQ(pieces, expect) << "align " << align << " len " << len << " split " << split;
+  }
+}
+
 TEST(RngTest, DeterministicForSeed) {
   Rng a(123), b(123), c(124);
   EXPECT_EQ(a.NextU64(), b.NextU64());
