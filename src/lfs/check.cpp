@@ -149,6 +149,10 @@ Status Checker::LoadCheckpoint() {
       Error("checkpoint.tail_range", "checkpoint extra log tail out of range: segment " + std::to_string(seg));
     }
   }
+  Status seq = ck_.ValidateSummarySeq();
+  if (!seq.ok()) {
+    Error("checkpoint.seq_range", seq.message());
+  }
   return OkStatus();
 }
 

@@ -383,6 +383,14 @@ Status Checkpoint::ValidateAgainst(const Superblock& sb) const {
   return OkStatus();
 }
 
+Status Checkpoint::ValidateSummarySeq() const {
+  if (next_summary_seq >= uint64_t{1} << 63) {
+    return CorruptionError("checkpoint: next_summary_seq " + std::to_string(next_summary_seq) +
+                           " is not below 2^63");
+  }
+  return OkStatus();
+}
+
 // --- directory file format -------------------------------------------------------
 
 size_t DirEntryEncodedSize(const DirEntry& entry) {

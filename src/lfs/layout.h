@@ -243,6 +243,12 @@ struct Checkpoint {
   // tables; mount and the offline checker both run them before loading.
   Status ValidateAgainst(const Superblock& sb) const;
 
+  // next_summary_seq must be below 2^63 (292,000 years of a million partial
+  // writes a second). A writer started near 2^64 would wrap to 0, and the
+  // cleaner's chain parse, which needs strictly increasing sequence numbers,
+  // would then end a victim's chain early and free live blocks.
+  Status ValidateSummarySeq() const;
+
   // Region size needed for the given chunk counts.
   static uint32_t RegionBlocks(uint32_t block_size, uint32_t imap_chunks, uint32_t usage_chunks);
 };

@@ -260,6 +260,7 @@ Result<std::unique_ptr<LfsFileSystem>> LfsFileSystem::Mount(BlockDevice* device,
 
 Status LfsFileSystem::LoadFromCheckpoint(const Checkpoint& ck) {
   LFS_RETURN_IF_ERROR(ck.ValidateAgainst(sb_));
+  LFS_RETURN_IF_ERROR(ck.ValidateSummarySeq());
   clock_.AdvanceTo(ck.clock);
   ckpt_seq_ = ck.ckpt_seq;
   ckpt_boundary_seq_ = ck.next_summary_seq;

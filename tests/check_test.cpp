@@ -68,6 +68,16 @@ class CheckTest : public ::testing::Test {
     ASSERT_TRUE(have);
   }
 
+  // Re-encodes `ck`, with a fresh trailer CRC, into the region at `base`.
+  void ResealCheckpoint(const Checkpoint& ck, BlockNo base) {
+    std::vector<uint8_t> block(cfg_.block_size);
+    ASSERT_TRUE(disk_->Read(0, 1, block).ok());
+    ASSERT_OK_AND_ASSIGN(Superblock sb, Superblock::DecodeFrom(block));
+    std::vector<uint8_t> region(size_t{sb.cr_blocks} * cfg_.block_size);
+    ck.EncodeTo(region);
+    ASSERT_OK(disk_->Write(base, sb.cr_blocks, region));
+  }
+
   LfsConfig cfg_;
   std::unique_ptr<MemDisk> disk_;
   std::unique_ptr<LfsFileSystem> fs_;
@@ -194,12 +204,7 @@ TEST_F(CheckTest, InodeCountPastMaxInodesIsAFindingNotACrash) {
   BlockNo base = kNilBlock;
   ASSERT_NO_FATAL_FAILURE(ReadNewestCheckpoint(&newest, &base));
   newest.ninodes = UINT32_MAX;
-  std::vector<uint8_t> block(cfg_.block_size);
-  ASSERT_TRUE(disk_->Read(0, 1, block).ok());
-  ASSERT_OK_AND_ASSIGN(Superblock sb, Superblock::DecodeFrom(block));
-  std::vector<uint8_t> region(size_t{sb.cr_blocks} * cfg_.block_size);
-  newest.EncodeTo(region);
-  ASSERT_OK(disk_->Write(base, sb.cr_blocks, region));
+  ASSERT_NO_FATAL_FAILURE(ResealCheckpoint(newest, base));
 
   auto mounted = LfsFileSystem::Mount(disk_.get(), cfg_);
   ASSERT_FALSE(mounted.ok());
@@ -212,6 +217,42 @@ TEST_F(CheckTest, InodeCountPastMaxInodesIsAFindingNotACrash) {
     flagged = flagged || (f.error && f.invariant == "checkpoint.ninodes_range");
   }
   EXPECT_TRUE(flagged) << report.Summary();
+}
+
+TEST_F(CheckTest, SummarySeqFromTwoToThe63IsCorruption) {
+  // A checkpoint re-sealed with next_summary_seq near 2^64 must not mount:
+  // the writer's sequence would wrap to 0, the cleaner would end a victim's
+  // chain at the wrapped partial and free live blocks, and files would read
+  // back wrong with an OK status. The checker must flag it and still walk
+  // the imap.
+  ChurnAndUnmount();
+  ASSERT_OK_AND_ASSIGN(CheckReport before, CheckLfsImage(disk_.get()));
+  ASSERT_EQ(before.errors, 0u) << before.Summary();
+  Checkpoint newest;
+  BlockNo base = kNilBlock;
+  ASSERT_NO_FATAL_FAILURE(ReadNewestCheckpoint(&newest, &base));
+  newest.next_summary_seq = UINT64_MAX - 2;
+  ASSERT_NO_FATAL_FAILURE(ResealCheckpoint(newest, base));
+
+  auto mounted = LfsFileSystem::Mount(disk_.get(), cfg_);
+  ASSERT_FALSE(mounted.ok());
+  EXPECT_EQ(mounted.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(mounted.status().message().find("next_summary_seq"), std::string::npos)
+      << mounted.status().ToString();
+  ASSERT_OK_AND_ASSIGN(CheckReport report, CheckLfsImage(disk_.get()));
+  ASSERT_EQ(report.errors, 1u) << report.Summary();
+  bool flagged = false;
+  for (const CheckFinding& f : report.findings) {
+    flagged = flagged || (f.error && f.invariant == "checkpoint.seq_range");
+  }
+  EXPECT_TRUE(flagged) << report.Summary();
+  EXPECT_EQ(report.files, before.files);
+  EXPECT_EQ(report.directories, before.directories);
+
+  // 2^63 - 1 is still in range.
+  newest.next_summary_seq = (uint64_t{1} << 63) - 1;
+  ASSERT_NO_FATAL_FAILURE(ResealCheckpoint(newest, base));
+  EXPECT_OK(LfsFileSystem::Mount(disk_.get(), cfg_).status());
 }
 
 TEST_F(CheckTest, InodeSizePastTheBlockTreeIsCorruptionNotACrash) {
