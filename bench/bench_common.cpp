@@ -1,5 +1,8 @@
 #include "bench/bench_common.h"
 
+#include <sys/resource.h>
+
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -8,6 +11,20 @@
 #include "src/obs/bindings.h"
 
 namespace lfs::bench {
+namespace {
+
+// Taken during static initialization, so a report's wall.total_sec covers
+// the bench's whole run up to its Write().
+const std::chrono::steady_clock::time_point kStart = std::chrono::steady_clock::now();
+
+double ProcessCpuSeconds() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  auto sec = [](const timeval& tv) { return static_cast<double>(tv.tv_sec) + tv.tv_usec * 1e-6; };
+  return sec(ru.ru_utime) + sec(ru.ru_stime);
+}
+
+}  // namespace
 
 LfsConfig PaperLfsConfig() {
   LfsConfig cfg;
@@ -276,7 +293,10 @@ std::string BenchReport::ToJson() const {
   return out;
 }
 
-void BenchReport::Write() const {
+void BenchReport::Write() {
+  AddScalar("wall.total_sec",
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - kStart).count());
+  AddScalar("wall.cpu_sec", ProcessCpuSeconds());
   const char* dir = std::getenv("LFS_BENCH_OUT");
   std::string path = (dir != nullptr && dir[0] != '\0') ? std::string(dir) + "/" : "";
   path += "BENCH_" + name_ + ".json";

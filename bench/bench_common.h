@@ -149,9 +149,11 @@ class BenchReport {
   // Serializes the report (stable schema above).
   std::string ToJson() const;
 
-  // Writes BENCH_<name>.json into $LFS_BENCH_OUT (default: current
-  // directory) and prints the path to stdout.
-  void Write() const;
+  // Adds the process's host time so far, wall.total_sec (steady clock) and
+  // wall.cpu_sec (user + system), then writes BENCH_<name>.json into
+  // $LFS_BENCH_OUT (default: current directory) and prints the path to
+  // stderr.
+  void Write();
 
  private:
   std::string name_;

@@ -16,10 +16,14 @@
 //     Reported both as modeled Wren IV disk time (the repo's standard
 //     measure — coalescing saves the per-request overheads) and as host
 //     wall-clock over the raw in-memory backing.
+//   byte_loops: host MB/s of Crc32Update and of memcpy over one in-cache
+//     4-KB buffer, each the median of 5 batches. Their ratio cancels the
+//     machine's speed, so CI gates it: the log CRCs every block it writes.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -30,6 +34,7 @@
 #include "src/disk/sim_disk.h"
 #include "src/lfs/lfs.h"
 #include "src/sim/sim.h"
+#include "src/util/crc32.h"
 #include "src/util/rng.h"
 
 namespace lfs::bench {
@@ -217,6 +222,47 @@ ReadResult BenchSequentialRead(uint32_t block_size) {
   return r;
 }
 
+// Median MB/s over 5 batches of `iters` calls of `pass`, each over 4 KB.
+template <typename Pass>
+double MedianMbPerSec(uint64_t iters, Pass pass) {
+  std::vector<double> rates;
+  for (int batch = 0; batch < 5; batch++) {
+    auto t0 = std::chrono::steady_clock::now();
+    for (uint64_t i = 0; i < iters; i++) {
+      pass();
+    }
+    rates.push_back(static_cast<double>(iters) * 4096 / (1 << 20) / SecondsSince(t0));
+  }
+  std::nth_element(rates.begin(), rates.begin() + 2, rates.end());
+  return rates[2];
+}
+
+struct ByteLoopResult {
+  double crc32_mb_s = 0.0;
+  double memcpy_mb_s = 0.0;
+};
+
+ByteLoopResult BenchByteLoops() {
+  std::vector<uint8_t> src(4096);
+  std::vector<uint8_t> dst(4096);
+  Rng rng(13);
+  for (auto& b : src) {
+    b = static_cast<uint8_t>(rng.NextU64());
+  }
+  // A bytewise CRC takes ~12 us per 4 KB: 5 smoke batches stay under 2 s.
+  const uint64_t iters = SmokePick(100000, 25000);
+  ByteLoopResult r;
+  uint32_t crc = Crc32Init();
+  r.crc32_mb_s = MedianMbPerSec(iters, [&] { crc = Crc32Update(crc, src); });
+  r.memcpy_mb_s = MedianMbPerSec(iters, [&] {
+    std::memcpy(dst.data(), src.data(), src.size());
+    asm volatile("" : : "r"(dst.data()) : "memory");  // keep every copy
+  });
+  volatile uint32_t sink = crc;
+  (void)sink;
+  return r;
+}
+
 int Main() {
   std::vector<SelectionResult> selection;
   for (uint32_t segs : {512u, 4096u}) {
@@ -229,6 +275,7 @@ int Main() {
   for (uint32_t bs : {4096u, 1024u}) {
     reads.push_back(BenchSequentialRead(bs));
   }
+  ByteLoopResult loops = BenchByteLoops();
 
   printf("{\n  \"bench\": \"perf_hotpaths\",\n  \"victim_selection\": [\n");
   for (size_t i = 0; i < selection.size(); i++) {
@@ -258,7 +305,9 @@ int Main() {
            read.coalesced_wall_mb_s, read.per_block_wall_mb_s,
            i + 1 < reads.size() ? "," : "");
   }
-  printf("  ]\n");
+  printf("  ],\n");
+  printf("  \"byte_loops\": {\"crc32_mb_per_s\": %.1f, \"memcpy_mb_per_s\": %.1f}\n",
+         loops.crc32_mb_s, loops.memcpy_mb_s);
   printf("}\n");
 
   // The stable-schema report CI diffs. Modeled/count metrics are
@@ -288,6 +337,8 @@ int Main() {
     report.AddScalar("wall." + p + "coalesced_mb_per_s", read.coalesced_wall_mb_s);
     report.AddScalar("wall." + p + "per_block_mb_per_s", read.per_block_wall_mb_s);
   }
+  report.AddScalar("wall.crc32.mb_per_s", loops.crc32_mb_s);
+  report.AddScalar("wall.memcpy.mb_per_s", loops.memcpy_mb_s);
   report.Write();
   return 0;
 }
