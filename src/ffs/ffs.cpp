@@ -49,7 +49,7 @@ Result<std::unique_ptr<FfsFileSystem>> FfsFileSystem::Mkfs(BlockDevice* device,
   inode.nlink = 1;
   inode.mtime = fs->clock_.Tick();
   LFS_RETURN_IF_ERROR(fs->WriteInodeSync(inode));
-  fs->dirs_[root] = DirCache{};
+  fs->dirs_.insert_or_assign(root, Directory(sb.block_size));
   LFS_RETURN_IF_ERROR(fs->WriteBitmapsSync());
   return fs;
 }
@@ -501,98 +501,56 @@ Result<FileStat> FfsFileSystem::Stat(InodeNum ino) {
 
 // --- directories ----------------------------------------------------------------------
 
-Result<FfsFileSystem::DirCache*> FfsFileSystem::GetDirCache(InodeNum dir_ino) {
+Result<Directory*> FfsFileSystem::GetDirectory(InodeNum dir_ino) {
   auto it = dirs_.find(dir_ino);
   if (it != dirs_.end()) {
     return &it->second;
   }
   LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(dir_ino));
   if (fm->inode.type != FileType::kDirectory) {
-    return NotADirectoryError("ffs: inode " + std::to_string(dir_ino) +
-                              " is not a directory");
+    return NotADirectoryError("ffs: inode " + std::to_string(dir_ino) + " is not a directory");
   }
-  DirCache cache;
-  const uint32_t bs = sb_.block_size;
-  std::vector<uint8_t> block(bs);
-  for (uint64_t b = 0; b < fm->blocks.size(); b++) {
-    if (fm->blocks[b] == kNilBlock) {
-      cache.blocks.emplace_back();
-      cache.used_bytes.push_back(0);
-      continue;
+  Directory dir(sb_.block_size);
+  std::vector<uint8_t> block(sb_.block_size);
+  for (BlockNo addr : fm->blocks) {
+    std::fill(block.begin(), block.end(), 0);  // a hole loads as an empty block
+    if (addr != kNilBlock) {
+      LFS_RETURN_IF_ERROR(device_->ReadBlock(addr, block));
     }
-    LFS_RETURN_IF_ERROR(device_->ReadBlock(fm->blocks[b], block));
-    LFS_ASSIGN_OR_RETURN(std::vector<DirEntry> entries, FfsDecodeDirBlock(block));
-    size_t used = 0;
-    for (const DirEntry& e : entries) {
-      used += FfsDirEntrySize(e);
-    }
-    cache.blocks.push_back(std::move(entries));
-    cache.used_bytes.push_back(used);
+    LFS_RETURN_IF_ERROR(dir.Load(block));
   }
-  auto [pos, inserted] = dirs_.emplace(dir_ino, std::move(cache));
-  (void)inserted;
-  return &pos->second;
+  return &dirs_.emplace(dir_ino, std::move(dir)).first->second;
 }
 
 Result<InodeNum> FfsFileSystem::LookupInDir(InodeNum dir_ino, std::string_view name) {
-  LFS_ASSIGN_OR_RETURN(DirCache * cache, GetDirCache(dir_ino));
-  for (const auto& entries : cache->blocks) {
-    for (const DirEntry& e : entries) {
-      if (e.name == name) {
-        return e.ino;
-      }
-    }
-  }
-  return NotFoundError("ffs: no entry '" + std::string(name) + "'");
+  LFS_ASSIGN_OR_RETURN(Directory * dir, GetDirectory(dir_ino));
+  return dir->Find(name);
 }
 
-Status FfsFileSystem::WriteDirBlockSync(InodeNum dir_ino, uint64_t fbn) {
-  DirCache& cache = dirs_.at(dir_ino);
+Status FfsFileSystem::WriteDirBlockSync(InodeNum dir_ino, const Directory& dir, uint64_t fbn) {
   LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(dir_ino));
-  LFS_RETURN_IF_ERROR(GrowFile(fm, cache.blocks.size()));
+  LFS_RETURN_IF_ERROR(GrowFile(fm, dir.block_count()));
   if (fm->blocks[fbn] == kNilBlock) {
     LFS_ASSIGN_OR_RETURN(fm->blocks[fbn], AllocBlock(GroupOfInode(dir_ino), kNilBlock));
   }
-  std::vector<uint8_t> block = FfsEncodeDirBlock(cache.blocks[fbn], sb_.block_size);
   // Directory data is metadata for crash purposes: synchronous write.
-  LFS_RETURN_IF_ERROR(device_->WriteBlock(fm->blocks[fbn], block));
+  LFS_RETURN_IF_ERROR(device_->WriteBlock(fm->blocks[fbn], dir.block(fbn)));
   stats_.metadata_writes++;
-  fm->inode.size = std::max<uint64_t>(fm->inode.size,
-                                      uint64_t{cache.blocks.size()} * sb_.block_size);
+  fm->inode.size = std::max<uint64_t>(fm->inode.size, dir.block_count() * sb_.block_size);
   fm->inode.mtime = clock_.Tick();
   // ... followed by the directory's inode, also synchronous.
   return FlushPointers(fm);
 }
 
 Status FfsFileSystem::AddDirEntry(InodeNum dir_ino, const DirEntry& entry) {
-  LFS_ASSIGN_OR_RETURN(DirCache * cache, GetDirCache(dir_ino));
-  size_t need = FfsDirEntrySize(entry);
-  size_t capacity = sb_.block_size - 4;
-  for (size_t b = 0; b < cache->blocks.size(); b++) {
-    if (cache->used_bytes[b] + need <= capacity) {
-      cache->blocks[b].push_back(entry);
-      cache->used_bytes[b] += need;
-      return WriteDirBlockSync(dir_ino, b);
-    }
-  }
-  cache->blocks.push_back({entry});
-  cache->used_bytes.push_back(need);
-  return WriteDirBlockSync(dir_ino, cache->blocks.size() - 1);
+  LFS_ASSIGN_OR_RETURN(Directory * dir, GetDirectory(dir_ino));
+  return WriteDirBlockSync(dir_ino, *dir, dir->Add(entry.name, entry.ino, entry.type));
 }
 
 Status FfsFileSystem::RemoveDirEntry(InodeNum dir_ino, std::string_view name) {
-  LFS_ASSIGN_OR_RETURN(DirCache * cache, GetDirCache(dir_ino));
-  for (size_t b = 0; b < cache->blocks.size(); b++) {
-    auto& entries = cache->blocks[b];
-    for (auto it = entries.begin(); it != entries.end(); ++it) {
-      if (it->name == name) {
-        cache->used_bytes[b] -= FfsDirEntrySize(*it);
-        entries.erase(it);
-        return WriteDirBlockSync(dir_ino, b);
-      }
-    }
-  }
-  return NotFoundError("ffs: no entry '" + std::string(name) + "' to remove");
+  LFS_ASSIGN_OR_RETURN(Directory * dir, GetDirectory(dir_ino));
+  LFS_ASSIGN_OR_RETURN(uint64_t b, dir->Remove(name));
+  return WriteDirBlockSync(dir_ino, *dir, b);
 }
 
 Result<InodeNum> FfsFileSystem::ResolveDir(std::string_view path) {
@@ -666,7 +624,7 @@ Status FfsFileSystem::Mkdir(std::string_view path) {
   fm.inode.mtime = clock_.Tick();
   LFS_RETURN_IF_ERROR(WriteInodeSync(fm.inode, /*times=*/2));
   files_[ino] = std::move(fm);
-  dirs_[ino] = DirCache{};
+  dirs_.insert_or_assign(ino, Directory(sb_.block_size));
   return AddDirEntry(dir_ino, DirEntry{name, ino, FileType::kDirectory});
 }
 
@@ -710,11 +668,9 @@ Status FfsFileSystem::Rmdir(std::string_view path) {
   if (fm->inode.type != FileType::kDirectory) {
     return NotADirectoryError(std::string(path));
   }
-  LFS_ASSIGN_OR_RETURN(DirCache * cache, GetDirCache(ino));
-  for (const auto& entries : cache->blocks) {
-    if (!entries.empty()) {
-      return NotEmptyError(std::string(path));
-    }
+  LFS_ASSIGN_OR_RETURN(Directory * dir, GetDirectory(ino));
+  if (!dir->empty()) {
+    return NotEmptyError(std::string(path));
   }
   LFS_RETURN_IF_ERROR(RemoveDirEntry(dir_ino, name));
   // Free the directory's blocks and inode.
@@ -786,14 +742,8 @@ Status FfsFileSystem::Rename(std::string_view from, std::string_view to) {
 Result<std::vector<DirEntry>> FfsFileSystem::ReadDir(std::string_view path) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   LFS_ASSIGN_OR_RETURN(InodeNum ino, ResolveDir(path));
-  LFS_ASSIGN_OR_RETURN(DirCache * cache, GetDirCache(ino));
-  std::vector<DirEntry> out;
-  for (const auto& entries : cache->blocks) {
-    out.insert(out.end(), entries.begin(), entries.end());
-  }
-  std::sort(out.begin(), out.end(),
-            [](const DirEntry& a, const DirEntry& b) { return a.name < b.name; });
-  return out;
+  LFS_ASSIGN_OR_RETURN(Directory * dir, GetDirectory(ino));
+  return dir->List();
 }
 
 // --- fsck ---------------------------------------------------------------------------
@@ -868,13 +818,9 @@ Result<FsckReport> FfsFileSystem::Fsck() {
     mark((*fm)->dind_addr);
     if (inode.type == FileType::kDirectory) {
       report.directories_walked++;
-      Result<DirCache*> cache = GetDirCache(num);
-      if (cache.ok()) {
-        for (const auto& entries : (*cache)->blocks) {
-          for (const DirEntry& e : entries) {
-            nlink_count[e.ino]++;
-          }
-        }
+      Result<Directory*> dir = GetDirectory(num);
+      if (dir.ok()) {
+        (*dir)->ForEach([&](std::string_view, InodeNum ino, FileType) { nlink_count[ino]++; });
       }
     }
   }

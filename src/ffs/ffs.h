@@ -24,6 +24,7 @@
 #include "src/ffs/bitmap.h"
 #include "src/ffs/ffs_layout.h"
 #include "src/fs/clock.h"
+#include "src/fs/directory.h"
 #include "src/fs/file_system.h"
 #include "src/obs/obs.h"
 
@@ -94,10 +95,6 @@ class FfsFileSystem : public FileSystem {
     std::set<uint32_t> dirty_ind;    // indirect blocks needing write-back
     bool pointers_dirty = false;     // inode/indirects differ from disk
   };
-  struct DirCache {
-    std::vector<std::vector<DirEntry>> blocks;
-    std::vector<size_t> used_bytes;
-  };
 
   // Allocation (cylinder-group policies).
   Result<InodeNum> AllocInode(uint32_t group_hint);
@@ -125,11 +122,12 @@ class FfsFileSystem : public FileSystem {
   Status ShrinkFile(FileMap* fm, uint64_t new_block_count);
 
   // Directories.
-  Result<DirCache*> GetDirCache(InodeNum dir_ino);
+  Result<Directory*> GetDirectory(InodeNum dir_ino);
   Result<InodeNum> LookupInDir(InodeNum dir_ino, std::string_view name);
   Status AddDirEntry(InodeNum dir_ino, const DirEntry& entry);
   Status RemoveDirEntry(InodeNum dir_ino, std::string_view name);
-  Status WriteDirBlockSync(InodeNum dir_ino, uint64_t fbn);
+  // Writes block `fbn` of `dir` in place, then the directory's inode.
+  Status WriteDirBlockSync(InodeNum dir_ino, const Directory& dir, uint64_t fbn);
   Result<InodeNum> ResolveDir(std::string_view path);
   Result<std::pair<InodeNum, std::string>> ResolveParent(std::string_view path);
   Status DeleteFileContents(InodeNum ino);
@@ -155,7 +153,7 @@ class FfsFileSystem : public FileSystem {
   uint32_t next_dir_group_ = 0;  // round-robin directory placement
 
   std::map<InodeNum, FileMap> files_;
-  std::map<InodeNum, DirCache> dirs_;
+  std::map<InodeNum, Directory> dirs_;
   uint64_t data_blocks_since_pointer_flush_ = 0;
   std::map<uint64_t, std::vector<uint8_t>> itable_cache_;  // inode table blocks
 };

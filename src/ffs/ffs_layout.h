@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "src/disk/block_device.h"
 #include "src/fs/file_system.h"
@@ -88,13 +87,6 @@ struct FfsInode {
   void EncodeTo(std::span<uint8_t> slot) const;
   static Result<FfsInode> DecodeFrom(std::span<const uint8_t> slot);
 };
-
-// Directory blocks: identical packed-entry format as the LFS (u32 count,
-// then {ino, type, name}), re-implemented here for independence.
-std::vector<uint8_t> FfsEncodeDirBlock(const std::vector<DirEntry>& entries,
-                                       uint32_t block_size);
-Result<std::vector<DirEntry>> FfsDecodeDirBlock(std::span<const uint8_t> block);
-size_t FfsDirEntrySize(const DirEntry& e);
 
 }  // namespace lfs::ffs
 

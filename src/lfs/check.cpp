@@ -5,6 +5,7 @@
 #include <set>
 #include <string>
 
+#include "src/fs/directory.h"
 #include "src/lfs/layout.h"
 #include "src/util/codec.h"
 #include "src/util/crc32.h"
@@ -437,25 +438,26 @@ Status Checker::CheckDirectoryTree() {
       }
       std::vector<uint8_t> block;
       LFS_RETURN_IF_ERROR(ReadBlock(addr, &block));
-      Result<std::vector<DirEntry>> entries = DecodeDirBlock(block);
-      if (!entries.ok()) {
+      Result<size_t> decoded = Directory::DecodeBlock(
+          block, [&](std::string_view name, InodeNum ino, FileType type) {
+            if (ino >= imap_.size() || !imap_[ino].allocated()) {
+              Error("dirtree.dangling_entry",
+                    "dangling entry '" + std::string(name) + "' in directory " + std::to_string(dir));
+              return;
+            }
+            refs[ino]++;
+            Result<Inode> target = ReadInode(ino);
+            if (target.ok() && target->type != type) {
+              Error("dirtree.type_mismatch",
+                    "entry '" + std::string(name) + "' type disagrees with inode " + std::to_string(ino));
+            }
+            if (type == FileType::kDirectory) {
+              queue.push_back(ino);
+            }
+          });
+      if (!decoded.ok()) {
         Error("dirtree.block_undecodable", "directory " + std::to_string(dir) + " block " + std::to_string(fbn) +
               " undecodable");
-        continue;
-      }
-      for (const DirEntry& e : *entries) {
-        if (e.ino >= imap_.size() || !imap_[e.ino].allocated()) {
-          Error("dirtree.dangling_entry", "dangling entry '" + e.name + "' in directory " + std::to_string(dir));
-          continue;
-        }
-        refs[e.ino]++;
-        Result<Inode> target = ReadInode(e.ino);
-        if (target.ok() && target->type != e.type) {
-          Error("dirtree.type_mismatch", "entry '" + e.name + "' type disagrees with inode " + std::to_string(e.ino));
-        }
-        if (e.type == FileType::kDirectory) {
-          queue.push_back(e.ino);
-        }
       }
     }
   }

@@ -391,48 +391,6 @@ Status Checkpoint::ValidateSummarySeq() const {
   return OkStatus();
 }
 
-// --- directory file format -------------------------------------------------------
-
-size_t DirEntryEncodedSize(const DirEntry& entry) {
-  return 4 + 1 + 2 + entry.name.size();
-}
-
-size_t DirBlockCapacity(uint32_t block_size) {
-  return block_size - 4;  // u32 entry count header
-}
-
-std::vector<uint8_t> EncodeDirBlock(const std::vector<DirEntry>& entries, uint32_t block_size) {
-  std::vector<uint8_t> buf;
-  buf.reserve(block_size);
-  Encoder enc(&buf);
-  enc.PutU32(static_cast<uint32_t>(entries.size()));
-  for (const DirEntry& e : entries) {
-    enc.PutU32(e.ino);
-    enc.PutU8(static_cast<uint8_t>(e.type));
-    enc.PutLengthPrefixedString(e.name);
-  }
-  enc.PadTo(block_size);
-  return buf;
-}
-
-Result<std::vector<DirEntry>> DecodeDirBlock(std::span<const uint8_t> block) {
-  Decoder dec(block);
-  uint32_t count = dec.GetU32();
-  std::vector<DirEntry> entries;
-  entries.reserve(count);
-  for (uint32_t i = 0; i < count; i++) {
-    DirEntry e;
-    e.ino = dec.GetU32();
-    e.type = static_cast<FileType>(dec.GetU8());
-    e.name = dec.GetLengthPrefixedString();
-    if (!dec.ok()) {
-      return CorruptionError("directory block: truncated entry");
-    }
-    entries.push_back(std::move(e));
-  }
-  return entries;
-}
-
 // --- directory operation log --------------------------------------------------------
 
 size_t DirLogRecordEncodedSize(const DirLogRecord& rec) {

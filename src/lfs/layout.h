@@ -253,18 +253,6 @@ struct Checkpoint {
   static uint32_t RegionBlocks(uint32_t block_size, uint32_t imap_chunks, uint32_t usage_chunks);
 };
 
-// --- directory file format ----------------------------------------------------
-
-// Directories are regular files in the log whose data blocks each hold an
-// independent packed list of entries. Keeping blocks self-contained means an
-// entry add/remove dirties one directory block, not the whole file.
-std::vector<uint8_t> EncodeDirBlock(const std::vector<DirEntry>& entries, uint32_t block_size);
-Result<std::vector<DirEntry>> DecodeDirBlock(std::span<const uint8_t> block);
-// Bytes an entry occupies inside a directory block.
-size_t DirEntryEncodedSize(const DirEntry& entry);
-// Payload bytes available for entries in one directory block.
-size_t DirBlockCapacity(uint32_t block_size);
-
 // --- directory operation log ---------------------------------------------------
 
 enum class DirOp : uint8_t {

@@ -148,7 +148,7 @@ Result<std::unique_ptr<LfsFileSystem>> LfsFileSystem::Mkfs(BlockDevice* device,
   root_fm.inode_dirty = true;
   InodeTableShard& root_shard = fs->TableShard(kRootInode);
   root_shard.files[kRootInode] = std::move(root_fm);
-  root_shard.dirs[kRootInode] = DirCache{};
+  root_shard.dirs.insert_or_assign(kRootInode, Directory(fs->sb_.block_size));
   fs->MarkInodeDirty(kRootInode);
 
   // Every usage chunk must exist on disk so the checkpoint region is fully

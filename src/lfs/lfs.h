@@ -32,12 +32,12 @@
 #include <set>
 #include <shared_mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "src/cache/block_cache.h"
 #include "src/disk/block_device.h"
 #include "src/fs/clock.h"
+#include "src/fs/directory.h"
 #include "src/fs/file_system.h"
 #include "src/lfs/cleaner_governor.h"
 #include "src/lfs/cleaner_qos.h"
@@ -120,7 +120,7 @@ class LfsFileSystem : public FileSystem {
   // count reaches the write-buffer size. Readers poll
   // txn_.WaitNotCommitting() before locking so a committer is never
   // starved. Shared in-memory state is sharded or internally synchronized:
-  // the inode table (loaded FileMaps/DirCaches) and the dirty-block buffer
+  // the inode table (loaded FileMaps and Directories) and the dirty-block buffer
   // are sharded by inode, the inode map and segment-usage table carry
   // internal locks, and counters are relaxed atomics. Lock order:
   //
@@ -240,14 +240,6 @@ class LfsFileSystem : public FileSystem {
     std::set<uint32_t> dirty_ind;
     bool dind_dirty = false;
     bool inode_dirty = false;
-  };
-
-  // Parsed contents of a directory, one entry list per directory block,
-  // plus a name index for O(1) lookups.
-  struct DirCache {
-    std::vector<std::vector<DirEntry>> blocks;
-    std::vector<size_t> used_bytes;  // payload bytes used per block
-    std::unordered_map<std::string, InodeNum> index;
   };
 
   // One partial-segment write parsed back from the log.
@@ -405,7 +397,7 @@ class LfsFileSystem : public FileSystem {
   struct InodeTableShard {
     mutable std::mutex mu;
     std::map<InodeNum, FileMap> files;
-    std::map<InodeNum, DirCache> dirs;
+    std::map<InodeNum, Directory> dirs;
   };
   // Shard of the write buffer: staged dirty data blocks keyed (ino, fbn).
   struct DirtyShard {
@@ -418,7 +410,6 @@ class LfsFileSystem : public FileSystem {
   const InodeTableShard& TableShard(InodeNum ino) const { return itable_[ShardOf(ino)]; }
   // Loaded-FileMap lookup without loading (nullptr if absent).
   FileMap* FindFileMap(InodeNum ino);
-  DirCache* FindDirCache(InodeNum ino);
   void EraseInodeState(InodeNum ino);  // drops files+dirs entries for ino
   void ClearInodeTables();             // unmount/recovery reset
   size_t LoadedFileMapCount() const;
@@ -442,7 +433,7 @@ class LfsFileSystem : public FileSystem {
 
   // --- namespace (lfs_namespace.cpp) ---
 
-  Result<DirCache*> GetDirCache(InodeNum dir_ino);
+  Result<Directory*> GetDirectory(InodeNum dir_ino);
   Result<InodeNum> LookupInDir(InodeNum dir_ino, std::string_view name);
   // Path resolution: walks one component at a time taking only that
   // directory's stripe (shared) for the lookup, holding zero stripes
@@ -476,7 +467,8 @@ class LfsFileSystem : public FileSystem {
                       InodeNum to_dir, const std::string& to_name, std::string_view to);
   Status AddDirEntry(InodeNum dir_ino, const DirEntry& entry);
   Status RemoveDirEntry(InodeNum dir_ino, std::string_view name);
-  Status WriteDirBlock(InodeNum dir_ino, uint64_t fbn);
+  // Stages block `fbn` of `dir` as the directory file's dirty block.
+  Status WriteDirBlock(InodeNum dir_ino, const Directory& dir, uint64_t fbn);
   Status DeleteFileContents(InodeNum ino);  // frees all blocks + the inode
   void LogDirOp(DirLogRecord record);
 

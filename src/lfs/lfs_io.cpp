@@ -22,7 +22,7 @@
 namespace lfs {
 
 namespace {
-// FileMap/DirCache entries kept before a commit starts evicting clean ones.
+// FileMap entries kept before a commit starts evicting clean ones.
 constexpr size_t kFileCacheCap = 16384;
 // Worst-case log reservation of a truncate: the boundary block plus the
 // indirect/inode touch-up.
@@ -147,13 +147,6 @@ LfsFileSystem::FileMap* LfsFileSystem::FindFileMap(InodeNum ino) {
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.files.find(ino);
   return it == shard.files.end() ? nullptr : &it->second;
-}
-
-LfsFileSystem::DirCache* LfsFileSystem::FindDirCache(InodeNum ino) {
-  InodeTableShard& shard = TableShard(ino);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.dirs.find(ino);
-  return it == shard.dirs.end() ? nullptr : &it->second;
 }
 
 void LfsFileSystem::EraseInodeState(InodeNum ino) {

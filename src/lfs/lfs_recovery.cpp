@@ -391,17 +391,13 @@ Status LfsFileSystem::RollForward(const Checkpoint& ck) {
       if (!visited.insert(dir).second || !imap_.IsAllocated(dir)) {
         continue;
       }
-      Result<DirCache*> cache = GetDirCache(dir);
-      if (!cache.ok()) {
-        continue;
-      }
-      for (const std::vector<DirEntry>& blk : (*cache)->blocks) {
-        for (const DirEntry& e : blk) {
-          refs[e.ino]++;
-          if (e.type == FileType::kDirectory) {
-            dir_queue.push_back(e.ino);
+      if (Result<Directory*> entries = GetDirectory(dir); entries.ok()) {
+        (*entries)->ForEach([&](std::string_view, InodeNum ino, FileType type) {
+          refs[ino]++;
+          if (type == FileType::kDirectory) {
+            dir_queue.push_back(ino);
           }
-        }
+        });
       }
     }
     for (InodeNum ino : touched) {
@@ -455,11 +451,7 @@ Status LfsFileSystem::ApplyDirLogFix(
     return fm.ok() && (*fm)->inode.type == FileType::kDirectory;
   };
   auto ensure_absent = [&](InodeNum dir_ino, const std::string& name) -> Status {
-    Result<InodeNum> hit = LookupInDir(dir_ino, name);
-    if (hit.ok()) {
-      return RemoveDirEntry(dir_ino, name);
-    }
-    return OkStatus();
+    return LookupInDir(dir_ino, name).ok() ? RemoveDirEntry(dir_ino, name) : OkStatus();
   };
   auto ensure_present = [&](InodeNum dir_ino, const std::string& name, InodeNum ino,
                             FileType type) -> Status {

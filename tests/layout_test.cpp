@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/fs/directory.h"
 #include "src/lfs/layout.h"
 #include "src/util/rng.h"
 
@@ -182,20 +183,23 @@ TEST(CheckpointTest, RoundTripAndTornWriteDetection) {
 }
 
 TEST(DirBlockTest, RoundTripAndCapacity) {
-  std::vector<DirEntry> entries = {
-      {"alpha", 10, FileType::kRegular},
-      {"beta", 11, FileType::kDirectory},
-      {std::string(255, 'z'), 12, FileType::kRegular},
-  };
-  std::vector<uint8_t> block = EncodeDirBlock(entries, kBs);
-  ASSERT_EQ(block.size(), kBs);
-  auto back = DecodeDirBlock(block);
-  ASSERT_TRUE(back.ok());
-  ASSERT_EQ(back->size(), 3u);
-  EXPECT_EQ((*back)[0].name, "alpha");
-  EXPECT_EQ((*back)[2].ino, 12u);
-  EXPECT_GT(DirBlockCapacity(kBs), 4000u);
-  EXPECT_EQ(DirEntryEncodedSize(entries[0]), 4 + 1 + 2 + 5u);
+  Directory dir(kBs);
+  EXPECT_EQ(dir.Add("alpha", 10, FileType::kRegular), 0u);
+  EXPECT_EQ(dir.Add("beta", 11, FileType::kDirectory), 0u);
+  EXPECT_EQ(dir.Add(std::string(255, 'z'), 12, FileType::kRegular), 0u);
+  ASSERT_EQ(dir.block(0).size(), kBs);
+  std::vector<DirEntry> back;
+  auto used = Directory::DecodeBlock(
+      dir.block(0), [&](std::string_view name, InodeNum ino, FileType type) {
+        back.push_back(DirEntry{std::string(name), ino, type});
+      });
+  ASSERT_TRUE(used.ok());
+  ASSERT_EQ(back.size(), 3u);
+  EXPECT_EQ(back[0].name, "alpha");
+  EXPECT_EQ(back[1].type, FileType::kDirectory);
+  EXPECT_EQ(back[2].ino, 12u);
+  // A u32 count, then 7 bytes plus the name per entry.
+  EXPECT_EQ(*used, 4 + (7 + 5) + (7 + 4) + (7 + 255u));
 }
 
 TEST(DirLogTest, RoundTripAllOps) {
