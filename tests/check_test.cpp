@@ -288,6 +288,38 @@ TEST_F(CheckTest, InodeSizePastTheBlockTreeIsCorruptionNotACrash) {
   EXPECT_TRUE(flagged) << report.Summary();
 }
 
+TEST_F(CheckTest, DirectoryEntryCountPastTheBlockIsCorruptionNotACrash) {
+  // A directory block whose u32 entry count has its top bit flipped
+  // (1 -> 0x80000001) claims more entries than any block can hold. The
+  // checker and the filesystem must refuse it with a Status instead of
+  // sizing anything from the count (std::bad_alloc).
+  ASSERT_OK(fs_->Mkdir("/d"));
+  ASSERT_OK(fs_->WriteFile("/d/a", TestContent(1, 100)));
+  ASSERT_OK_AND_ASSIGN(InodeNum dir, fs_->Lookup("/d"));
+  ASSERT_OK(fs_->Sync());
+  // Move the log head past /d's segment, so mounting does not itself
+  // liveness-check /d's blocks.
+  for (int i = 0; i < 3; i++) {
+    ASSERT_OK(fs_->WriteFile("/fill" + std::to_string(i), TestContent(i, 16 * 1024)));
+  }
+  ASSERT_OK_AND_ASSIGN(std::vector<BlockNo> addrs, fs_->FileBlockAddresses(dir));
+  ASSERT_EQ(addrs.size(), 1u);
+  ASSERT_OK(fs_->Unmount());
+  fs_.reset();
+  uint8_t* count = disk_->raw().data() + addrs[0] * cfg_.block_size;
+  ASSERT_EQ(count[0], 1);
+  count[3] ^= 0x80;
+
+  ASSERT_OK_AND_ASSIGN(CheckReport report, CheckLfsImage(disk_.get()));
+  bool flagged = false;
+  for (const CheckFinding& f : report.findings) {
+    flagged = flagged || (f.error && f.invariant == "dirtree.block_undecodable");
+  }
+  EXPECT_TRUE(flagged) << report.Summary();
+  ASSERT_OK_AND_ASSIGN(auto fs, LfsFileSystem::Mount(disk_.get(), cfg_));
+  EXPECT_EQ(fs->Lookup("/d/a").status().code(), StatusCode::kCorruption);
+}
+
 TEST_F(CheckTest, CrashedImageHasNoErrors) {
   // A crash leaves a log tail past the checkpoint; that is a RECOVERABLE
   // state, and the checker must not call it corruption.
