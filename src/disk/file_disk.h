@@ -1,11 +1,14 @@
 // FileDisk: a BlockDevice backed by a file on the host filesystem, so the
 // example programs can keep a persistent LFS image across runs. Not used by
 // benchmarks (they need the deterministic timing model over MemDisk).
+//
+// Reads and writes are pread/pwrite on one file descriptor: they carry their
+// own offsets, so concurrent calls cannot interleave, and a write reaches the
+// kernel before it returns (no user-space buffer). Flush is fdatasync.
 
 #ifndef LFS_DISK_FILE_DISK_H_
 #define LFS_DISK_FILE_DISK_H_
 
-#include <cstdio>
 #include <memory>
 #include <string>
 
@@ -32,10 +35,10 @@ class FileDisk : public BlockDevice {
   Status Flush() override;
 
  private:
-  FileDisk(std::FILE* file, uint32_t block_size, uint64_t block_count)
-      : file_(file), block_size_(block_size), block_count_(block_count) {}
+  FileDisk(int fd, uint32_t block_size, uint64_t block_count)
+      : fd_(fd), block_size_(block_size), block_count_(block_count) {}
 
-  std::FILE* file_;
+  int fd_;
   uint32_t block_size_;
   uint64_t block_count_;
 };
