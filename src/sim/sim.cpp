@@ -108,37 +108,7 @@ uint32_t CleaningSimulator::PickVictim() {
     best = s;
     break;
   }
-  if (cfg_.verify_selection && best != PickVictimReference()) {
-    selection_mismatches_++;
-  }
   return best;  // kNone == UINT32_MAX, the historical "no victim" value
-}
-
-uint32_t CleaningSimulator::PickVictimReference() const {
-  uint32_t best = UINT32_MAX;
-  double best_score = -1.0;
-  for (uint32_t s = 0; s < segments_.size(); s++) {
-    const Segment& seg = segments_[s];
-    if (seg.clean || s == new_cursor_ || s == clean_cursor_) {
-      continue;
-    }
-    double u = static_cast<double>(seg.live) / cfg_.blocks_per_segment;
-    if (u >= 1.0) {
-      continue;  // nothing to reclaim
-    }
-    double score;
-    if (cfg_.policy == Policy::kGreedy) {
-      score = 1.0 - u;
-    } else {
-      double age = static_cast<double>(now_ - std::min(now_, seg.last_write));
-      score = (1.0 - u) * age / (1.0 + u);
-    }
-    if (score > best_score) {
-      best_score = score;
-      best = s;
-    }
-  }
-  return best;
 }
 
 void CleaningSimulator::RunCleaner() {

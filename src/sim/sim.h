@@ -68,10 +68,6 @@ struct SimConfig {
   uint64_t warmup_overwrites_per_file = 40;
   uint64_t measure_overwrites_per_file = 40;
 
-  // Cross-check every indexed victim pick against the reference full scan
-  // (debug/test aid; divergences are counted in selection_mismatches()).
-  bool verify_selection = false;
-
   uint64_t seed = 1;
 };
 
@@ -107,22 +103,27 @@ class CleaningSimulator {
   uint32_t clean_segments() const;
   uint32_t nfiles() const { return nfiles_; }
   double ActualDiskUtilization() const;
-  uint64_t selection_mismatches() const { return selection_mismatches_; }
 
- private:
+  // Read-only view of the state victim selection works from, so a test can
+  // check the index's order against a reference sort.
   struct Segment {
     std::vector<int32_t> slots;  // file occupying each written slot (-1 dead)
     uint32_t live = 0;
     uint64_t last_write = 0;  // newest mtime of data in the segment
     bool clean = true;
   };
+  const std::vector<Segment>& segments() const { return segments_; }
+  uint32_t new_cursor() const { return new_cursor_; }
+  uint32_t clean_cursor() const { return clean_cursor_; }
+  uint64_t now() const { return now_; }
+  const VictimIndex& victim_index() const { return victim_index_; }
+
+ private:
 
   void AppendFile(int32_t file, bool cleaning);
   void EnsureWritableSegment(bool cleaning);
   void RunCleaner();
   uint32_t PickVictim();  // best segment per policy, or UINT32_MAX
-  // The original O(n) full scan, kept as the selection oracle.
-  uint32_t PickVictimReference() const;
   int32_t PickFileToOverwrite();
 
   SimConfig cfg_;
@@ -138,7 +139,6 @@ class CleaningSimulator {
   // All non-clean segments keyed by (live, last_write); PickVictim pops the
   // best-scoring one instead of rescanning the whole segment table.
   VictimIndex victim_index_;
-  uint64_t selection_mismatches_ = 0;
   uint32_t new_cursor_ = UINT32_MAX;    // segment receiving new data
   uint32_t clean_cursor_ = UINT32_MAX;  // segment receiving cleaned data
   uint32_t clean_count_ = 0;

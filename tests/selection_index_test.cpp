@@ -235,7 +235,35 @@ TEST_F(SelectionIndexLfsTest, CostBenefitMatchesReferenceUnderChurn) {
   Churn(CleaningPolicy::kCostBenefit);
 }
 
+// The simulator's victim, as PickVictim takes it: the first segment of the
+// indexed order that is not one of the two write cursors.
+uint32_t FirstNonCursor(const std::vector<uint32_t>& order, const sim::CleaningSimulator& s) {
+  for (uint32_t seg : order) {
+    if (seg != s.new_cursor() && seg != s.clean_cursor()) {
+      return seg;
+    }
+  }
+  return VictimIndex::kNone;
+}
+
+void ExpectSimSelectionMatches(const sim::CleaningSimulator& s, uint32_t capacity, bool greedy) {
+  std::vector<int64_t> live(s.segments().size(), -1);  // clean segments are not in the index
+  std::vector<uint64_t> last_write(s.segments().size(), 0);
+  for (uint32_t seg = 0; seg < s.segments().size(); seg++) {
+    if (!s.segments()[seg].clean) {
+      live[seg] = s.segments()[seg].live;
+      last_write[seg] = s.segments()[seg].last_write;
+    }
+  }
+  std::vector<uint32_t> want =
+      ReferenceOrder(s.victim_index(), live, last_write, capacity, greedy, s.now());
+  std::vector<uint32_t> got = DrainCursor(s.victim_index().Select(greedy, s.now()));
+  ASSERT_EQ(got, want) << "greedy=" << greedy << " now=" << s.now();
+  EXPECT_EQ(FirstNonCursor(got, s), FirstNonCursor(want, s));
+}
+
 TEST(SelectionIndexSimTest, IndexedPickMatchesReferenceAcrossPoliciesAndPatterns) {
+  constexpr uint64_t kCheckEvery = 64;  // steps between comparisons
   for (sim::Policy policy : {sim::Policy::kGreedy, sim::Policy::kCostBenefit}) {
     for (sim::AccessPattern pattern :
          {sim::AccessPattern::kUniform, sim::AccessPattern::kHotAndCold}) {
@@ -246,15 +274,19 @@ TEST(SelectionIndexSimTest, IndexedPickMatchesReferenceAcrossPoliciesAndPatterns
       cfg.policy = policy;
       cfg.pattern = pattern;
       cfg.age_sort = policy == sim::Policy::kCostBenefit;
-      cfg.verify_selection = true;
-      cfg.warmup_overwrites_per_file = 10;
-      cfg.measure_overwrites_per_file = 10;
       sim::CleaningSimulator simulator(cfg);
-      sim::SimResult result = simulator.Run();
-      EXPECT_GT(result.segments_cleaned, 0u);
-      EXPECT_EQ(simulator.selection_mismatches(), 0u)
-          << "policy=" << static_cast<int>(policy)
-          << " pattern=" << static_cast<int>(pattern);
+      const bool greedy = policy == sim::Policy::kGreedy;
+      const uint64_t steps = uint64_t{simulator.nfiles()} * 20;
+      for (uint64_t step = 1; step <= steps; step++) {
+        simulator.Step();
+        if (step % kCheckEvery == 0) {
+          ASSERT_NO_FATAL_FAILURE(
+              ExpectSimSelectionMatches(simulator, cfg.blocks_per_segment, greedy))
+              << "policy=" << static_cast<int>(policy)
+              << " pattern=" << static_cast<int>(pattern) << " step=" << step;
+        }
+      }
+      EXPECT_GT(simulator.Snapshot().segments_cleaned, 0u);
     }
   }
 }
