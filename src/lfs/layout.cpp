@@ -391,6 +391,107 @@ Status Checkpoint::ValidateSummarySeq() const {
   return OkStatus();
 }
 
+std::set<SegNo> Checkpoint::ChunkHosts(const Superblock& sb) const {
+  std::set<SegNo> segs;
+  for (const std::vector<BlockNo>* table : {&imap_chunk_addr, &usage_chunk_addr}) {
+    for (BlockNo b : *table) {
+      if (SegNo s = sb.SegOf(b); s != kNilSeg) {
+        segs.insert(s);
+      }
+    }
+  }
+  return segs;
+}
+
+// --- reading the image ------------------------------------------------------------
+
+Result<Superblock> ReadSuperblock(BlockDevice* device, Status* primary) {
+  std::vector<uint8_t> block(device->block_size());
+  Status read = device->Read(0, 1, block);
+  Result<Superblock> sb = read.ok() ? Superblock::DecodeFrom(block) : Result<Superblock>(read);
+  *primary = sb.status();
+  if (!sb.ok()) {
+    LFS_RETURN_IF_ERROR(device->Read(device->block_count() - 1, 1, block));
+    sb = Superblock::DecodeFrom(block);
+  }
+  if (sb.ok() && (sb->block_size != device->block_size() ||
+                  sb->total_blocks > device->block_count())) {
+    return CorruptionError("superblock geometry does not match the device");
+  }
+  return sb;
+}
+
+CheckpointRegions ReadCheckpointRegions(BlockDevice* device, const Superblock& sb) {
+  CheckpointRegions out;
+  std::vector<uint8_t> region(size_t{sb.cr_blocks} * sb.block_size);
+  for (int i = 0; i < 2; i++) {
+    Status read = device->Read(i == 0 ? sb.cr_base0 : sb.cr_base1, sb.cr_blocks, region);
+    out.regions.push_back(read.ok() ? Checkpoint::DecodeFrom(region) : Result<Checkpoint>(read));
+    const Result<Checkpoint>& r = out.regions.back();
+    if (r.ok() && (out.newest < 0 || r->ckpt_seq > out.regions[out.newest]->ckpt_seq)) {
+      out.newest = i;
+    }
+  }
+  return out;
+}
+
+SegmentChain::SegmentChain(const Superblock& sb, SegNo seg, uint32_t start, uint32_t stop,
+                           Reader read)
+    : base_(sb.SegmentBase(seg)),
+      block_size_(sb.block_size),
+      stop_(stop),
+      read_(std::move(read)),
+      offset_(start),
+      next_(start),
+      block_(sb.block_size) {}
+
+bool SegmentChain::Next() {
+  if (end_ != ChainEnd::kNone) {
+    return false;
+  }
+  offset_ = next_;
+  if (offset_ + 1 >= stop_) {
+    return End(ChainEnd::kStop);
+  }
+  if (!read_(base_ + offset_, 1, block_).ok()) {
+    return End(ChainEnd::kSummaryUnreadable);
+  }
+  summaries_read_++;
+  Result<SegmentSummary> sum = SegmentSummary::DecodeFrom(block_);
+  if (!sum.ok()) {
+    return End(ChainEnd::kBadSummary);
+  }
+  if (summary_.seq != 0 && sum->seq <= summary_.seq) {
+    return End(ChainEnd::kStaleSeq);
+  }
+  if (sum->entries.empty()) {
+    return End(ChainEnd::kEmpty);
+  }
+  if (offset_ + 1 + sum->entries.size() > stop_) {
+    return End(ChainEnd::kOverrun);
+  }
+  summary_ = std::move(sum).value();
+  next_ = offset_ + 1 + payload_blocks();
+  return true;
+}
+
+Status SegmentChain::ReadPayload(std::vector<uint8_t>* out) {
+  out->resize(size_t{payload_blocks()} * block_size_);
+  Status st = read_(payload_addr(), payload_blocks(), *out);
+  if (!st.ok()) {
+    End(ChainEnd::kPayloadUnreadable);
+    return st;
+  }
+  if (Crc32(*out) != summary_.payload_crc) {
+    End(ChainEnd::kPayloadCrc);
+    return CorruptionError("payload CRC mismatch in the partial write at block " +
+                           std::to_string(base_ + offset_) + " covering blocks [" +
+                           std::to_string(payload_addr()) + ", " +
+                           std::to_string(payload_addr() + payload_blocks()) + ")");
+  }
+  return OkStatus();
+}
+
 // --- directory operation log --------------------------------------------------------
 
 size_t DirLogRecordEncodedSize(const DirLogRecord& rec) {

@@ -166,71 +166,25 @@ Result<std::unique_ptr<LfsFileSystem>> LfsFileSystem::Mkfs(BlockDevice* device,
 Result<std::unique_ptr<LfsFileSystem>> LfsFileSystem::Mount(BlockDevice* device,
                                                             const LfsConfig& cfg,
                                                             const MountOptions& opts) {
-  std::vector<uint8_t> block(device->block_size());
-  bool used_backup_superblock = false;
-  Superblock sb;
-  {
-    Status primary_read = device->ReadBlock(0, block);
-    Result<Superblock> primary =
-        primary_read.ok() ? Superblock::DecodeFrom(block)
-                          : Result<Superblock>(primary_read);
-    if (primary.ok()) {
-      sb = std::move(primary).value();
-    } else {
-      // Primary unreadable or CRC-bad: try the backup copy at the last
-      // device block.
-      LFS_RETURN_IF_ERROR(device->ReadBlock(device->block_count() - 1, block));
-      LFS_ASSIGN_OR_RETURN(sb, Superblock::DecodeFrom(block));
-      used_backup_superblock = true;
-    }
-  }
-  if (sb.block_size != device->block_size() || sb.total_blocks > device->block_count()) {
-    return CorruptionError("superblock geometry does not match device");
-  }
-
-  // Read both checkpoint regions; the newest valid one wins (Section 4.1).
-  std::vector<uint8_t> region(size_t{sb.cr_blocks} * sb.block_size);
-  bool have_ck = false;
-  Checkpoint ck;
-  int ck_region = 0;
-  std::set<SegNo> regions_hosts[2];
-  for (int i = 0; i < 2; i++) {
-    BlockNo base = i == 0 ? sb.cr_base0 : sb.cr_base1;
-    if (!device->Read(base, sb.cr_blocks, region).ok()) {
-      continue;
-    }
-    Result<Checkpoint> r = Checkpoint::DecodeFrom(region);
-    if (r.ok() && (!have_ck || r->ckpt_seq > ck.ckpt_seq)) {
-      ck = std::move(r).value();
-      ck_region = i;
-      have_ck = true;
-    }
-    if (r.ok()) {
-      for (BlockNo b : r->imap_chunk_addr) {
-        SegNo s = sb.SegOf(b);
-        if (s != kNilSeg) {
-          regions_hosts[i].insert(s);
-        }
-      }
-      for (BlockNo b : r->usage_chunk_addr) {
-        SegNo s = sb.SegOf(b);
-        if (s != kNilSeg) {
-          regions_hosts[i].insert(s);
-        }
-      }
-    }
-  }
-  if (!have_ck) {
+  Status primary_superblock;
+  LFS_ASSIGN_OR_RETURN(Superblock sb, ReadSuperblock(device, &primary_superblock));
+  // The newest valid checkpoint region wins (Section 4.1).
+  CheckpointRegions cr = ReadCheckpointRegions(device, sb);
+  if (cr.newest < 0) {
     return CorruptionError("no valid checkpoint region; not an LFS filesystem?");
   }
+  const Checkpoint& ck = *cr.regions[cr.newest];
 
   auto fs = std::unique_ptr<LfsFileSystem>(new LfsFileSystem(device, cfg, sb));
-  if (used_backup_superblock) {
+  if (!primary_superblock.ok()) {
     fs->stats_.superblock_fallbacks++;
   }
-  fs->cr_next_ = 1 - ck_region;  // alternate away from the surviving region
-  fs->cr_hosts_[0] = std::move(regions_hosts[0]);
-  fs->cr_hosts_[1] = std::move(regions_hosts[1]);
+  fs->cr_next_ = 1 - cr.newest;  // alternate away from the surviving region
+  for (int i = 0; i < 2; i++) {
+    if (cr.regions[i].ok()) {
+      fs->cr_hosts_[i] = cr.regions[i]->ChunkHosts(sb);
+    }
+  }
   LFS_RETURN_IF_ERROR(fs->LoadFromCheckpoint(ck));
 
   fs->read_only_ = opts.read_only;
@@ -334,23 +288,6 @@ Status LfsFileSystem::LoadFromCheckpoint(const Checkpoint& ck) {
     }
   }
   return OkStatus();
-}
-
-std::set<SegNo> LfsFileSystem::ChunkHostSegments() const {
-  std::set<SegNo> segs;
-  for (uint32_t c = 0; c < imap_.chunk_count(); c++) {
-    SegNo s = sb_.SegOf(imap_.chunk_addr(c));
-    if (s != kNilSeg) {
-      segs.insert(s);
-    }
-  }
-  for (uint32_t c = 0; c < usage_.chunk_count(); c++) {
-    SegNo s = sb_.SegOf(usage_.chunk_addr(c));
-    if (s != kNilSeg) {
-      segs.insert(s);
-    }
-  }
-  return segs;
 }
 
 Status LfsFileSystem::FlushMetadataChunks() {
@@ -568,7 +505,7 @@ Status LfsFileSystem::WriteCheckpointRegion() {
   }
   LFS_RETURN_IF_ERROR(device_->Flush());
   stats_.checkpoint_bytes += region.size();
-  cr_hosts_[wrote_region] = ChunkHostSegments();
+  cr_hosts_[wrote_region] = ck.ChunkHosts(sb_);
   cr_next_ = 1 - wrote_region;
   ckpt_boundary_seq_ = ck.next_summary_seq;
   usage_.MarkFreesDurable();  // freed segments become pickable again
@@ -743,34 +680,25 @@ Status LfsFileSystem::RecomputeSegmentUsage(SegNo seg, uint32_t stop_offset) {
   if (usage_.Get(seg).state == SegState::kClean) {
     return OkStatus();
   }
-  LFS_ASSIGN_OR_RETURN(std::vector<ParsedPartial> chain,
-                       ParseSegmentChain(seg, 0, stop_offset, /*min_seq=*/0));
   uint32_t live = 0;
   uint64_t last_write = 0;
-  for (const ParsedPartial& p : chain) {
+  for (const ParsedPartial& p : ParseSegmentChain(seg, 0, stop_offset, /*min_seq=*/0)) {
     for (size_t i = 0; i < p.summary.entries.size(); i++) {
       const SummaryEntry& e = p.summary.entries[i];
       BlockNo addr = sb_.SegmentBase(seg) + p.offset + 1 + i;
       std::span<const uint8_t> content(p.payload.data() + i * sb_.block_size, sb_.block_size);
       if (e.kind == BlockKind::kInodeBlock) {
-        // Count live inode slots individually.
-        for (uint32_t s = 0; s < sb_.inodes_per_block(); s++) {
-          Result<Inode> ino = Inode::DecodeFrom(content.subspan(size_t{s} * kInodeSlotSize,
-                                                                kInodeSlotSize));
-          if (!ino.ok() || ino->ino == kNilInode) {
-            continue;
-          }
-          ImapEntry ie = imap_.Get(ino->ino);
-          if (ie.allocated() && ie.inode_block == addr && ie.slot == s) {
-            live += kInodeSlotSize;
-            last_write = std::max(last_write, ino->mtime);
-          }
-        }
+        // A live inode slot ages with its own inode's mtime.
+        LFS_RETURN_IF_ERROR(ForEachLiveInode(addr, content, [&](const Inode& ino) {
+          live += kInodeSlotSize;
+          last_write = std::max(last_write, ino.mtime);
+          return OkStatus();
+        }));
         continue;
       }
-      LFS_ASSIGN_OR_RETURN(bool is_live, IsLiveBlock(e, addr, content));
-      if (is_live) {
-        live += sb_.block_size;
+      LFS_ASSIGN_OR_RETURN(uint32_t bytes, LiveBytes(e, addr, content));
+      if (bytes > 0) {
+        live += bytes;
         last_write = std::max(last_write, p.summary.youngest_mtime);
       }
     }
@@ -854,32 +782,16 @@ Result<std::array<uint64_t, 8>> LfsFileSystem::LiveBytesByKind() {
     if (usage_.Get(seg).state == SegState::kClean) {
       continue;
     }
-    uint32_t stop = SegmentStopOffset(seg);
-    LFS_ASSIGN_OR_RETURN(std::vector<ParsedPartial> chain,
-                         ParseSegmentChain(seg, 0, stop, /*min_seq=*/0));
-    for (const ParsedPartial& p : chain) {
+    for (const ParsedPartial& p : ParseSegmentChain(seg, 0, SegmentStopOffset(seg), 0)) {
       for (size_t i = 0; i < p.summary.entries.size(); i++) {
         const SummaryEntry& e = p.summary.entries[i];
         BlockNo addr = sb_.SegmentBase(seg) + p.offset + 1 + i;
         std::span<const uint8_t> content(p.payload.data() + i * sb_.block_size,
                                          sb_.block_size);
-        if (e.kind == BlockKind::kInodeBlock) {
-          for (uint32_t slot = 0; slot < sb_.inodes_per_block(); slot++) {
-            Result<Inode> ino = Inode::DecodeFrom(
-                content.subspan(size_t{slot} * kInodeSlotSize, kInodeSlotSize));
-            if (!ino.ok() || ino->ino == kNilInode) {
-              continue;
-            }
-            ImapEntry ie = imap_.Get(ino->ino);
-            if (ie.allocated() && ie.inode_block == addr && ie.slot == slot) {
-              live[static_cast<size_t>(BlockKind::kInodeBlock)] += kInodeSlotSize;
-            }
-          }
-          continue;
-        }
-        LFS_ASSIGN_OR_RETURN(bool is_live, IsLiveBlock(e, addr, content));
-        if (is_live) {
-          live[static_cast<size_t>(e.kind)] += sb_.block_size;
+        LFS_ASSIGN_OR_RETURN(uint32_t bytes, LiveBytes(e, addr, content));
+        // A summary's kind byte is not range-checked: index only live kinds.
+        if (bytes > 0) {
+          live[static_cast<size_t>(e.kind)] += bytes;
         }
       }
     }

@@ -26,6 +26,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -280,7 +281,6 @@ class LfsFileSystem : public FileSystem {
   // it; lets an SSD backend drop dead flash pages instead of copying them in
   // GC. Failures are ignored: trim is advisory.
   void TrimFreedSegments();
-  std::set<SegNo> ChunkHostSegments() const;
   // Segments that must never be recycled right now: the active segment, the
   // hosts of current in-memory metadata chunks, and the hosts of chunks
   // referenced by either on-disk checkpoint region (a torn checkpoint write
@@ -500,8 +500,16 @@ class LfsFileSystem : public FileSystem {
   // fallback as SelectSegmentsToClean.
   std::vector<SegNo> SelectSegmentsToCleanAdaptive(uint32_t max_segments, uint64_t now,
                                                    const GovernorDecision& decision);
-  Result<bool> IsLiveBlock(const SummaryEntry& entry, BlockNo addr,
-                           std::span<const uint8_t> content);
+  // The liveness rule (Section 3.3). An inode slot is live when the inode
+  // map still places its inode there; fn runs for each live slot of inode
+  // block `addr` and stops the walk with its first error.
+  Status ForEachLiveInode(BlockNo addr, std::span<const uint8_t> content,
+                          const std::function<Status(const Inode&)>& fn);
+  // Live bytes of one logged block: the whole block for live data, indirect
+  // and chunk blocks, kInodeSlotSize per live inode slot, 0 for dirlog
+  // blocks and unknown kinds. `content` is read only for inode blocks.
+  Result<uint32_t> LiveBytes(const SummaryEntry& entry, BlockNo addr,
+                             std::span<const uint8_t> content);
   // `drain_src` != kNilSeg marks a partial-compaction relocation: the moved
   // bytes are debited off that victim immediately (kData and the metadata
   // chunks; indirect/inode rewrites already debit their old addresses in
@@ -534,21 +542,15 @@ class LfsFileSystem : public FileSystem {
 
   // --- recovery (lfs_recovery.cpp) ---
 
-  // Why a segment-chain parse stopped where it did. A chain ending at an
-  // unreadable or CRC-failing block is indistinguishable from a legitimate
-  // log-tail end without this; the cleaner uses it to decide quarantine.
-  struct ChainStatus {
-    bool io_error = false;   // a summary or payload read failed
-    bool crc_error = false;  // a payload CRC mismatched
-    BlockNo error_block = kNilBlock;  // first block implicated
-  };
-  // Parses the partial-write chain of one segment starting at start_offset.
-  // Stops at an invalid summary, a non-increasing sequence number, a payload
-  // CRC mismatch, or stop_offset.
-  Result<std::vector<ParsedPartial>> ParseSegmentChain(SegNo seg, uint32_t start_offset,
-                                                       uint32_t stop_offset,
-                                                       uint64_t min_seq,
-                                                       ChainStatus* chain_status = nullptr);
+  // Walks `seg`'s chain through DeviceRead (see SegmentChain).
+  SegmentChain Chain(SegNo seg, uint32_t start_offset, uint32_t stop_offset) const;
+  // Reads the chain of one segment from start_offset, payloads included, and
+  // returns its partials with sequence number min_seq or above. The chain
+  // also ends at a payload that is unreadable or fails its CRC; `end`, if
+  // given, receives why it ended.
+  std::vector<ParsedPartial> ParseSegmentChain(SegNo seg, uint32_t start_offset,
+                                               uint32_t stop_offset, uint64_t min_seq,
+                                               ChainEnd* end = nullptr);
   Status RollForward(const Checkpoint& ck);
   // alloc_versions: per-inode versions observed at allocation (kCreate
   // records) within the replay window, used to tell apart generations of a

@@ -17,7 +17,6 @@
 
 #include "src/lfs/lfs.h"
 #include "src/util/codec.h"
-#include "src/util/crc32.h"
 
 namespace lfs {
 
@@ -34,50 +33,20 @@ Status LfsFileSystem::VerifyLogBlockCrcs(BlockNo addr, uint64_t count) const {
   if (seg == kNilSeg) {
     return OkStatus();  // fixed-area blocks carry their own CRCs
   }
-  const uint32_t bs = sb_.block_size;
-  const BlockNo base = sb_.SegmentBase(seg);
-  const BlockNo lo = addr;
-  const BlockNo hi = addr + count;
-  uint32_t stop = SegmentStopOffset(seg);
-  // Walk the partial-write chain until it covers [lo, hi). Reads go straight
-  // to the device (ReadLogRun would recurse). If the chain is unreadable
-  // or ends before reaching the target, nothing can be proven here — the
-  // caller's own read will surface any I/O error.
-  uint32_t off = 0;
-  uint64_t prev_seq = 0;
-  std::vector<uint8_t> sblock(bs);
-  while (off + 1 < stop) {
-    if (!device_->Read(base + off, 1, sblock).ok()) {
-      break;
-    }
-    Result<SegmentSummary> sum = SegmentSummary::DecodeFrom(sblock);
-    if (!sum.ok() || sum->seq <= prev_seq) {
-      break;
-    }
-    uint32_t n = static_cast<uint32_t>(sum->entries.size());
-    if (n == 0 || off + 1 + n > sb_.segment_blocks) {
-      break;
-    }
-    BlockNo pstart = base + off + 1;
-    BlockNo pend = pstart + n;
-    if (pstart >= hi) {
-      break;  // chain is past the target range
-    }
-    if (pend > lo) {
-      // This partial covers part of the target: check its payload CRC.
-      std::vector<uint8_t> payload(size_t{n} * bs);
-      LFS_RETURN_IF_ERROR(DeviceRead(pstart, n, payload));
-      if (Crc32(payload) != sum->payload_crc) {
+  // Walk the partial-write chain until it covers [addr, addr + count),
+  // checking the payload CRC of every partial that overlaps the range. If
+  // the chain ends before reaching the target, nothing can be proven here —
+  // the caller's own read will surface any I/O error.
+  SegmentChain chain = Chain(seg, 0, SegmentStopOffset(seg));
+  std::vector<uint8_t> payload;
+  while (chain.Next() && chain.payload_addr() < addr + count) {
+    if (chain.payload_addr() + chain.payload_blocks() > addr) {
+      Status st = chain.ReadPayload(&payload);
+      if (st.code() == StatusCode::kCorruption) {
         stats_.read_crc_failures++;
-        return CorruptionError(
-            "payload CRC mismatch reading block " + std::to_string(addr) +
-            " (segment " + std::to_string(seg) + ", partial at offset " +
-            std::to_string(off) + " covering blocks [" + std::to_string(pstart) +
-            ", " + std::to_string(pend) + "))");
       }
+      LFS_RETURN_IF_ERROR(st);
     }
-    prev_seq = sum->seq;
-    off += 1 + n;
   }
   return OkStatus();
 }
