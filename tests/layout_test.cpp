@@ -1,11 +1,15 @@
 // Serialization tests for every on-disk structure: round-trips, corruption
-// detection (bad magic, bad CRC, truncation), geometry computation, and a
-// parameterized random round-trip sweep.
+// detection (bad magic, bad CRC, truncation), geometry computation, a
+// parameterized random round-trip sweep, and the segment chain walker
+// against the loop it replaced.
 
 #include <gtest/gtest.h>
 
+#include "src/disk/fault_disk.h"
+#include "src/disk/mem_disk.h"
 #include "src/fs/directory.h"
 #include "src/lfs/layout.h"
+#include "src/util/crc32.h"
 #include "src/util/rng.h"
 
 namespace lfs {
@@ -288,6 +292,210 @@ TEST_P(RandomRoundTrip, InodeAndSummary) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomRoundTrip, ::testing::Values(1, 2, 3, 4));
+
+// --- the segment chain walker against the loop it replaced --------------------
+
+// One segment's chain as read back: each partial's summary offset, sequence
+// number and payload, and where and why the chain ended.
+struct ChainRead {
+  std::vector<uint32_t> offsets;
+  std::vector<uint64_t> seqs;
+  std::vector<std::vector<uint8_t>> payloads;
+  uint32_t end_offset = 0;
+  ChainEnd end = ChainEnd::kNone;
+};
+
+// The reference: LfsFileSystem::ParseSegmentChain's loop from before the
+// walker existed, with each exit recording where and why it stopped.
+ChainRead ReferenceChain(BlockDevice* dev, const Superblock& sb, SegNo seg,
+                         uint32_t start_offset, uint32_t stop_offset) {
+  ChainRead out;
+  const uint32_t bs = sb.block_size;
+  const BlockNo base = sb.SegmentBase(seg);
+  uint32_t offset = start_offset;
+  uint64_t prev_seq = 0;
+  std::vector<uint8_t> sum_block(bs);
+  out.end = ChainEnd::kStop;
+  while (offset + 1 < stop_offset) {
+    if (!dev->Read(base + offset, 1, sum_block).ok()) {
+      out.end = ChainEnd::kSummaryUnreadable;
+      break;
+    }
+    Result<SegmentSummary> sum = SegmentSummary::DecodeFrom(sum_block);
+    if (!sum.ok()) {
+      out.end = ChainEnd::kBadSummary;
+      break;
+    }
+    if (prev_seq != 0 && sum->seq <= prev_seq) {
+      out.end = ChainEnd::kStaleSeq;
+      break;
+    }
+    uint32_t n = static_cast<uint32_t>(sum->entries.size());
+    if (n == 0 || offset + 1 + n > stop_offset) {
+      out.end = n == 0 ? ChainEnd::kEmpty : ChainEnd::kOverrun;
+      break;
+    }
+    std::vector<uint8_t> payload(size_t{n} * bs);
+    if (!dev->Read(base + offset + 1, n, payload).ok()) {
+      out.end = ChainEnd::kPayloadUnreadable;
+      break;
+    }
+    if (Crc32(payload) != sum->payload_crc) {
+      out.end = ChainEnd::kPayloadCrc;
+      break;
+    }
+    prev_seq = sum->seq;
+    out.offsets.push_back(offset);
+    out.seqs.push_back(sum->seq);
+    out.payloads.push_back(std::move(payload));
+    offset += 1 + n;
+  }
+  out.end_offset = offset;
+  return out;
+}
+
+ChainRead WalkChain(BlockDevice* dev, const Superblock& sb, SegNo seg, uint32_t start_offset,
+                    uint32_t stop_offset) {
+  ChainRead out;
+  SegmentChain chain(sb, seg, start_offset, stop_offset,
+                     [dev](BlockNo block, uint64_t count, std::span<uint8_t> data) {
+                       return dev->Read(block, count, data);
+                     });
+  std::vector<uint8_t> payload;
+  while (chain.Next() && chain.ReadPayload(&payload).ok()) {
+    out.offsets.push_back(chain.offset());
+    out.seqs.push_back(chain.summary().seq);
+    out.payloads.push_back(payload);
+  }
+  out.end_offset = chain.offset();
+  out.end = chain.end();
+  return out;
+}
+
+// What a seeded segment image carries after its run of valid partials.
+enum class Shape {
+  kValid,              // nothing: the chain ends at zeros or at the stop offset
+  kStaleTail,          // a leftover partial with a lower sequence number
+  kEmptySummary,       // a summary that lists no blocks
+  kOverrunsStop,       // a partial that runs past the stop offset
+  kBadHeaderCrc,       // one summary with a flipped byte
+  kMidStart,           // the walk starts at a later partial
+  kLatentSummary,      // one summary block the device cannot read
+  kUnreadablePayload,  // one payload block the device cannot read
+  kBadPayload,         // one payload block read back with a flipped bit
+};
+
+// Writes a partial of `n` seeded payload blocks at `offset` of `seg`.
+void WritePartial(BlockDevice* dev, const Superblock& sb, SegNo seg, uint32_t offset,
+                  uint64_t seq, uint32_t n, Rng* rng) {
+  std::vector<uint8_t> payload(size_t{n} * sb.block_size);
+  for (uint8_t& b : payload) {
+    b = static_cast<uint8_t>(rng->NextU64());
+  }
+  SegmentSummary sum;
+  sum.seq = seq;
+  sum.payload_crc = Crc32(payload);
+  for (uint32_t i = 0; i < n; i++) {
+    sum.entries.push_back(SummaryEntry{BlockKind::kData, 1 + i, i, 1});
+  }
+  std::vector<uint8_t> block(sb.block_size);
+  sum.EncodeTo(block);
+  ASSERT_TRUE(dev->Write(sb.SegmentBase(seg) + offset, 1, block).ok());
+  if (n > 0) {
+    ASSERT_TRUE(dev->Write(sb.SegmentBase(seg) + offset + 1, n, payload).ok());
+  }
+}
+
+TEST(SegmentChainTest, MatchesTheReferenceLoop) {
+  constexpr uint32_t kSmallBs = 512;
+  for (Shape shape : {Shape::kValid, Shape::kStaleTail, Shape::kEmptySummary,
+                      Shape::kOverrunsStop, Shape::kBadHeaderCrc, Shape::kMidStart,
+                      Shape::kLatentSummary, Shape::kUnreadablePayload, Shape::kBadPayload}) {
+    for (uint64_t seed = 1; seed <= 25; seed++) {
+      SCOPED_TRACE("shape " + std::to_string(static_cast<int>(shape)) + " seed " +
+                   std::to_string(seed));
+      Rng rng(seed);
+      Result<Superblock> sb_r = Superblock::Compute(kSmallBs, 2048, 32, 64);
+      ASSERT_TRUE(sb_r.ok());
+      const Superblock sb = *sb_r;
+      FaultDisk disk(std::make_unique<MemDisk>(kSmallBs, sb.total_blocks));
+      const SegNo seg = static_cast<SegNo>(rng.NextBelow(sb.nsegments));
+      const BlockNo base = sb.SegmentBase(seg);
+
+      // A run of valid partials with rising sequence numbers.
+      std::vector<uint32_t> offsets;
+      uint64_t seq = 1 + rng.NextBelow(1000);
+      uint32_t offset = 0;
+      const uint32_t count = 1 + static_cast<uint32_t>(rng.NextBelow(4));
+      for (uint32_t i = 0; i < count; i++) {
+        uint32_t n = 1 + static_cast<uint32_t>(rng.NextBelow(5));
+        WritePartial(&disk, sb, seg, offset, seq, n, &rng);
+        offsets.push_back(offset);
+        offset += 1 + n;
+        seq += 1 + rng.NextBelow(3);
+      }
+      const uint32_t tail = offset;  // where the valid run ends
+      uint32_t start = 0;
+      uint32_t stop = rng.NextBool(0.8) ? sb.segment_blocks
+                                        : tail + static_cast<uint32_t>(rng.NextBelow(3));
+      const BlockNo victim = offsets[rng.NextBelow(offsets.size())];
+      ChainEnd want = ChainEnd::kNone;  // the end this shape must reach
+      switch (shape) {
+        case Shape::kValid:
+          break;
+        case Shape::kStaleTail:
+          WritePartial(&disk, sb, seg, tail, seq - 1 - rng.NextBelow(seq - 1), 2, &rng);
+          stop = sb.segment_blocks;
+          want = ChainEnd::kStaleSeq;
+          break;
+        case Shape::kEmptySummary:
+          WritePartial(&disk, sb, seg, tail, seq, 0, &rng);
+          stop = sb.segment_blocks;
+          want = ChainEnd::kEmpty;
+          break;
+        case Shape::kOverrunsStop:
+          WritePartial(&disk, sb, seg, tail, seq, 4, &rng);
+          stop = tail + 2 + static_cast<uint32_t>(rng.NextBelow(3));
+          want = ChainEnd::kOverrun;
+          break;
+        case Shape::kBadHeaderCrc: {
+          std::vector<uint8_t> block(kSmallBs);
+          ASSERT_TRUE(disk.Read(base + victim, 1, block).ok());
+          block[rng.NextBelow(kSmallBs)] ^= 0x10;
+          ASSERT_TRUE(disk.Write(base + victim, 1, block).ok());
+          want = ChainEnd::kBadSummary;
+          break;
+        }
+        case Shape::kMidStart:
+          start = static_cast<uint32_t>(victim);
+          break;
+        case Shape::kLatentSummary:
+          disk.AddLatentError(base + victim);
+          want = ChainEnd::kSummaryUnreadable;
+          break;
+        case Shape::kUnreadablePayload:
+          disk.AddLatentError(base + victim + 1);
+          want = ChainEnd::kPayloadUnreadable;
+          break;
+        case Shape::kBadPayload:
+          disk.CorruptOnRead(base + victim + 1);
+          want = ChainEnd::kPayloadCrc;
+          break;
+      }
+
+      ChainRead ref = ReferenceChain(&disk, sb, seg, start, stop);
+      ChainRead got = WalkChain(&disk, sb, seg, start, stop);
+      EXPECT_EQ(got.offsets, ref.offsets);
+      EXPECT_EQ(got.seqs, ref.seqs);
+      EXPECT_TRUE(got.payloads == ref.payloads);
+      EXPECT_EQ(got.end_offset, ref.end_offset);
+      EXPECT_EQ(static_cast<int>(got.end), static_cast<int>(ref.end));
+      if (want != ChainEnd::kNone) {
+        EXPECT_EQ(static_cast<int>(got.end), static_cast<int>(want));
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace lfs

@@ -122,6 +122,39 @@ TEST(FaultInjectionTest, CorruptReadDetectedByPayloadCrc) {
   EXPECT_EQ(fs->mount_state(), MountState::kReadWrite);
 }
 
+// The CRC walk behind a verified read retries its summary reads like every
+// other read: one transient fault on the damaged segment's first summary
+// must not end the walk early and let the flipped block through as data.
+TEST(FaultInjectionTest, VerifiedReadRetriesTheSummaryRead) {
+  LfsConfig cfg = SmallConfig();
+  cfg.verify_read_crcs = true;
+  FaultDisk disk(std::make_unique<MemDisk>(cfg.block_size, 4096));
+  auto fs = std::move(LfsFileSystem::Mkfs(&disk, cfg)).value();
+  const Superblock sb = fs->superblock();
+
+  ASSERT_OK(fs->WriteFile("/victim", TestContent(3, 6 * cfg.block_size)));
+  ASSERT_OK(fs->Sync());
+  // Move /victim's inode and the root directory out of the partial that
+  // holds its first block, so Lookup and Stat below do not read it.
+  ASSERT_OK(fs->Create("/z").status());
+  ASSERT_OK_AND_ASSIGN(InodeNum ino, fs->Lookup("/victim"));
+  ASSERT_OK(fs->WriteAt(ino, 5 * cfg.block_size, TestContent(4, cfg.block_size)));
+  ASSERT_OK(fs->Sync());
+  ASSERT_OK_AND_ASSIGN(std::vector<BlockNo> addrs, fs->FileBlockAddresses(ino));
+  ASSERT_OK(fs->Unmount());
+  fs.reset();
+
+  disk.CorruptOnRead(addrs[0]);
+  fs = std::move(LfsFileSystem::Mount(&disk, cfg)).value();
+  ASSERT_OK_AND_ASSIGN(ino, fs->Lookup("/victim"));
+  ASSERT_OK(fs->Stat(ino).status());
+  disk.AddTransientReadFault(sb.SegmentBase(sb.SegOf(addrs[0])), 1);
+  std::vector<uint8_t> buf(4096);
+  Result<uint64_t> got = fs->ReadAt(ino, 0, buf);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kCorruption) << got.status().ToString();
+}
+
 TEST(FaultInjectionTest, CleanerQuarantinesDamagedVictims) {
   LfsConfig cfg = SmallConfig();
   FaultDisk disk(std::make_unique<MemDisk>(cfg.block_size, 8192));
