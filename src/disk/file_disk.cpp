@@ -15,9 +15,8 @@ Result<std::unique_ptr<FileDisk>> FileDisk::Open(const std::string& path, uint32
     return IoError("cannot open image file '" + path + "'");
   }
   // Extend a fresh or truncated image to the requested size; the new bytes
-  // read as zeros. An image larger than requested is fine: callers that probe
-  // with a small bootstrap geometry (lfsck, lfsdump) reopen with the real size
-  // later, and reads/writes are bounds-checked against the requested size.
+  // read as zeros. An image larger than requested is fine: reads and writes
+  // are bounds-checked against the requested size.
   const uint64_t want = block_count * uint64_t{block_size};
   struct stat st;
   bool sized = ::fstat(fd, &st) == 0 && (static_cast<uint64_t>(st.st_size) >= want ||
@@ -27,6 +26,20 @@ Result<std::unique_ptr<FileDisk>> FileDisk::Open(const std::string& path, uint32
     return IoError("cannot size image file '" + path + "'");
   }
   return std::unique_ptr<FileDisk>(new FileDisk(fd, block_size, block_count));
+}
+
+Result<std::unique_ptr<FileDisk>> FileDisk::OpenReadOnly(const std::string& path,
+                                                         uint32_t block_size) {
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  struct stat st;
+  if (fd < 0 || ::fstat(fd, &st) != 0) {
+    if (fd >= 0) {
+      ::close(fd);
+    }
+    return IoError("cannot open image file '" + path + "'");
+  }
+  return std::unique_ptr<FileDisk>(
+      new FileDisk(fd, block_size, static_cast<uint64_t>(st.st_size) / block_size));
 }
 
 FileDisk::~FileDisk() { ::close(fd_); }

@@ -23,6 +23,10 @@ class FileDisk : public BlockDevice {
   // block_count * block_size bytes.
   static Result<std::unique_ptr<FileDisk>> Open(const std::string& path, uint32_t block_size,
                                                 uint64_t block_count);
+  // Opens an existing image for reading only: never creates, writes or
+  // resizes the file. The device spans the file's whole blocks.
+  static Result<std::unique_ptr<FileDisk>> OpenReadOnly(const std::string& path,
+                                                        uint32_t block_size);
   ~FileDisk() override;
   FileDisk(const FileDisk&) = delete;
   FileDisk& operator=(const FileDisk&) = delete;

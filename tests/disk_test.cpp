@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -363,6 +364,31 @@ TEST(FileDiskTest, PersistsAcrossReopen) {
     ASSERT_TRUE((*disk)->Read(43, 1, buf).ok());
     EXPECT_EQ(buf[0], 0);  // untouched blocks read as zeros
   }
+  std::remove(path.c_str());
+}
+
+// The offline tools open images this way: a missing file stays missing, a
+// short one keeps its size, and the device is sized from the file.
+TEST(FileDiskTest, ReadOnlyOpenNeverCreatesWritesOrResizes) {
+  std::string path = ::testing::TempDir() + "/lfs_filedisk_readonly.img";
+  std::remove(path.c_str());
+  EXPECT_FALSE(FileDisk::OpenReadOnly(path, 512).ok());
+  EXPECT_FALSE(std::filesystem::exists(path));
+  {
+    auto disk = FileDisk::Open(path, 512, 6);
+    ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+    std::vector<uint8_t> buf(512, 0x77);
+    ASSERT_TRUE((*disk)->Write(5, 1, buf).ok());
+  }
+  std::filesystem::resize_file(path, 5 * 512 + 100);  // a truncated image
+  auto ro = FileDisk::OpenReadOnly(path, 512);
+  ASSERT_TRUE(ro.ok()) << ro.status().ToString();
+  EXPECT_EQ((*ro)->block_count(), 5u);
+  std::vector<uint8_t> buf(512);
+  EXPECT_TRUE((*ro)->Read(4, 1, buf).ok());
+  EXPECT_FALSE((*ro)->Read(5, 1, buf).ok());
+  EXPECT_FALSE((*ro)->Write(0, 1, buf).ok());
+  EXPECT_EQ(std::filesystem::file_size(path), 5u * 512 + 100);
   std::remove(path.c_str());
 }
 

@@ -7,47 +7,17 @@
 // payload CRC verification (reads only metadata instead of the whole log).
 // --json prints a machine-readable report (counters plus per-invariant
 // findings) on stdout instead of the human-readable rendering; exit codes
-// are unchanged.
+// are unchanged. The image is opened read-only and never resized, so a
+// truncated image fails the superblock's geometry check (exit 2).
 
 #include <cstdio>
 #include <cstring>
 #include <string>
 
-#include "src/disk/file_disk.h"
 #include "src/lfs/check.h"
-#include "src/lfs/layout.h"
+#include "tools/open_image.h"
 
 using namespace lfs;
-
-namespace {
-
-// Opens an image file of unknown size: reads the superblock first to learn
-// the geometry, then reopens with the right block count.
-Result<std::unique_ptr<FileDisk>> OpenImage(const std::string& path) {
-  // Bootstrap with a minimal device big enough for a superblock probe.
-  LFS_ASSIGN_OR_RETURN(std::unique_ptr<FileDisk> probe, FileDisk::Open(path, 512, 8));
-  std::vector<uint8_t> sector(512);
-  LFS_RETURN_IF_ERROR(probe->Read(0, 1, sector));
-  probe.reset();
-  // The superblock's block_size field is at a fixed offset; decode leniently.
-  // (A full decode needs a whole block, whose size we do not know yet.)
-  uint32_t magic = sector[0] | sector[1] << 8 | sector[2] << 16 | uint32_t{sector[3]} << 24;
-  if (magic != kSuperMagic) {
-    return CorruptionError("'" + path + "' does not start with an LFS superblock");
-  }
-  uint32_t bs = sector[4] | sector[5] << 8 | sector[6] << 16 | uint32_t{sector[7]} << 24;
-  if (bs < 512 || bs > (1u << 20) || (bs & (bs - 1)) != 0) {
-    return CorruptionError("implausible block size in superblock");
-  }
-  LFS_ASSIGN_OR_RETURN(std::unique_ptr<FileDisk> full, FileDisk::Open(path, bs, 1));
-  std::vector<uint8_t> block(bs);
-  LFS_RETURN_IF_ERROR(full->Read(0, 1, block));
-  LFS_ASSIGN_OR_RETURN(Superblock sb, Superblock::DecodeFrom(block));
-  full.reset();
-  return FileDisk::Open(path, bs, sb.total_blocks);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) {
