@@ -85,9 +85,9 @@ struct InstanceResult {
 };
 
 InstanceResult RunInstance(const char* name, double target_utilization,
-                           bool fine_grained) {
+                           bool adaptive) {
   LfsConfig cfg = BenchConfig();
-  if (fine_grained) {
+  if (adaptive) {
     cfg.adaptive_cleaning = true;
     cfg.partial_compaction = true;
     // A quarter segment per drain slice: the largest copy burst one
@@ -171,9 +171,9 @@ int main() {
   std::printf("=== Cleaner QoS: foreground p99 under sustained overwrite ===\n\n");
   auto wall0 = std::chrono::steady_clock::now();
 
-  InstanceResult u70 = RunInstance("u70", 0.70, /*fine_grained=*/false);
-  InstanceResult u90_fixed = RunInstance("u90_fixed", 0.90, /*fine_grained=*/false);
-  InstanceResult u90_adaptive = RunInstance("u90_adaptive", 0.90, /*fine_grained=*/true);
+  InstanceResult u70 = RunInstance("u70", 0.70, /*adaptive=*/false);
+  InstanceResult u90_fixed = RunInstance("u90_fixed", 0.90, /*adaptive=*/false);
+  InstanceResult u90_adaptive = RunInstance("u90_adaptive", 0.90, /*adaptive=*/true);
   double wall_sec =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
 

@@ -21,10 +21,10 @@
 //    their populations age slowly, which is exactly the regime the age term
 //    exists for.
 //
-// The governor also decides whether partial-segment compaction applies this
-// pass (cfg.partial_compaction and victims above the utilization bar; see
-// LfsFileSystem::CleanerPass). Decisions are pure functions of the inputs,
-// so single-threaded runs stay byte-deterministic.
+// A disabled governor decides cfg.policy for every log, so the cleaner always
+// selects through its one selector (LfsFileSystem::SelectSegmentsToClean).
+// Decisions are pure functions of the inputs, so single-threaded runs stay
+// byte-deterministic.
 
 #ifndef LFS_LFS_CLEANER_GOVERNOR_H_
 #define LFS_LFS_CLEANER_GOVERNOR_H_
@@ -39,7 +39,6 @@ namespace lfs {
 struct GovernorDecision {
   CleaningPolicy hot_policy = CleaningPolicy::kCostBenefit;   // log 0
   CleaningPolicy cold_policy = CleaningPolicy::kCostBenefit;  // logs 1..N-1
-  bool partial = false;  // drain high-u victims incrementally this pass
 };
 
 class CleanerGovernor {
@@ -54,7 +53,6 @@ class CleanerGovernor {
   void Configure(const LfsConfig& cfg) {
     enabled_ = cfg.adaptive_cleaning;
     fixed_policy_ = cfg.policy;
-    partial_ = cfg.partial_compaction;
   }
 
   bool enabled() const { return enabled_; }
@@ -64,7 +62,6 @@ class CleanerGovernor {
   // policy differs from the previous decision's.
   GovernorDecision Decide(const std::vector<uint32_t>& histogram) {
     GovernorDecision d;
-    d.partial = partial_;
     if (!enabled_) {
       d.hot_policy = fixed_policy_;
       d.cold_policy = fixed_policy_;
@@ -99,7 +96,6 @@ class CleanerGovernor {
  private:
   bool enabled_ = false;
   CleaningPolicy fixed_policy_ = CleaningPolicy::kCostBenefit;
-  bool partial_ = false;
 
   CleaningPolicy last_hot_ = CleaningPolicy::kCostBenefit;
   bool has_last_ = false;

@@ -56,8 +56,8 @@ struct LfsConfig {
   // cost and device-level write amplification on SSDs).
   uint32_t num_logs = 1;
 
-  // --- fine-grained reclamation (all off by default: the legacy whole-
-  // segment cost-benefit cleaner stays byte-identical) ------------------------
+  // --- fine-grained reclamation (all off by default: the cleaner then
+  // copies whole segments under `policy`) ------------------------------------
 
   // Adaptive policy switching: a governor watches the live-utilization
   // histogram the selection index maintains and picks greedy vs cost-benefit

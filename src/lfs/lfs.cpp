@@ -26,8 +26,7 @@ LfsFileSystem::LfsFileSystem(BlockDevice* device, const LfsConfig& cfg, const Su
       // A transaction may reserve four write buffers' worth of worst-case
       // log blocks before further mutators wait for its commit.
       txn_(4 * uint64_t{cfg.write_buffer_blocks}),
-      ilocks_(cfg.inode_shards),
-      debug_cleaner_(getenv("LFS_DEBUG_CLEANER") != nullptr) {
+      ilocks_(cfg.inode_shards) {
   // The in-memory tables shard like the inode lock stripes.
   shard_mask_ = ilocks_.nstripes() - 1;
   itable_ = std::vector<InodeTableShard>(ilocks_.nstripes());
@@ -90,7 +89,7 @@ void LfsFileSystem::EnterDegradedReadOnly(const char* why) {
   stats_.degraded_entries++;
   LFS_TRACE(obs_.tracer(), obs::TraceEventType::kDegraded, obs::OpType::kNone,
             clock_.Now(), 0, 0, device_->ModeledTime());
-  if (debug_cleaner_ || getenv("LFS_DEBUG_FAULTS") != nullptr) {
+  if (getenv("LFS_DEBUG_FAULTS") != nullptr) {
     std::fprintf(stderr, "lfs: entering degraded read-only mode: %s\n", why);
   }
 }

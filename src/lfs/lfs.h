@@ -190,10 +190,12 @@ class LfsFileSystem : public FileSystem {
 
   // --- introspection (tests, benchmarks, examples) --------------------------------
 
-  // Victim selection, exposed for the hot-path benchmark: pops candidates
-  // from the incrementally maintained index in SegUsage (O(k log n)) without
-  // mutating filesystem state. The selection test checks the index against
-  // a scan-and-sort of seg_usage().
+  // Victim selection under cfg.policy for every log, exposed for the
+  // hot-path benchmark: the cleaner's own selector (below) without the
+  // governor's decision. It pops candidates from the incrementally
+  // maintained index in SegUsage (O(k log n)) without mutating filesystem
+  // state. The selection test checks the index against a scan-and-sort of
+  // seg_usage().
   std::vector<SegNo> SelectSegmentsToClean(uint32_t max_segments);
 
   // Fine-grained reclamation introspection (tests/benches).
@@ -493,13 +495,13 @@ class LfsFileSystem : public FileSystem {
   uint32_t EffectiveCleanLo() const;
   uint32_t EffectiveCleanHi() const;
   Result<uint32_t> CleanerPass();    // returns source segments reclaimed
-  // Adaptive victim selection (governor-driven): one cursor per log, each
-  // using that log's policy, candidates interleaved round-robin across logs
-  // (deterministically). num_logs == 1 degenerates to a single cursor under
-  // the governor's hot policy. Same per-candidate filters and no-wedge
-  // fallback as SelectSegmentsToClean.
-  std::vector<SegNo> SelectSegmentsToCleanAdaptive(uint32_t max_segments, uint64_t now,
-                                                   const GovernorDecision& decision);
+  // The victim selector: up to max_segments dirty segments that fit the
+  // clean-segment budget, skipping protected segments and the roll-forward
+  // tail. Log 0 is ordered by decision.hot_policy, colder logs by
+  // cold_policy. With the governor off one cursor covers every log; with it
+  // on each log has its own cursor and they take turns (deterministically).
+  std::vector<SegNo> SelectSegmentsToClean(uint32_t max_segments,
+                                           const GovernorDecision& decision);
   // The liveness rule (Section 3.3). An inode slot is live when the inode
   // map still places its inode there; fn runs for each live slot of inode
   // block `addr` and stops the walk with its first error.
@@ -617,8 +619,7 @@ class LfsFileSystem : public FileSystem {
   bool in_recovery_ = false;
   bool in_checkpoint_ = false;
   bool read_only_ = false;
-  bool degraded_ = false;       // media forced us read-only (sticky)
-  bool debug_cleaner_ = false;  // LFS_DEBUG_CLEANER, looked up once at mount
+  bool degraded_ = false;  // media forced us read-only (sticky)
 };
 
 }  // namespace lfs

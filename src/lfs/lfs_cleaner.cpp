@@ -33,6 +33,11 @@ constexpr double kMultilogVictimMaxU = 0.85;
 }  // namespace
 
 std::vector<SegNo> LfsFileSystem::SelectSegmentsToClean(uint32_t max_segments) {
+  return SelectSegmentsToClean(max_segments, GovernorDecision{cfg_.policy, cfg_.policy});
+}
+
+std::vector<SegNo> LfsFileSystem::SelectSegmentsToClean(uint32_t max_segments,
+                                                        const GovernorDecision& decision) {
   uint64_t now = clock_.Now();
   std::vector<uint8_t> off_limits = ProtectedSegmentBitmap();
 
@@ -47,43 +52,68 @@ std::vector<SegNo> LfsFileSystem::SelectSegmentsToClean(uint32_t max_segments) {
 
   // Pop candidates from the selection index in exact score order; it holds
   // every kDirty segment, so only the per-candidate filters remain here.
+  // Without the governor one cursor walks every log under the decision's
+  // (fixed) policy. With it, each log gets a cursor under its own policy and
+  // candidates pop round-robin across the logs, so no population starves; a
+  // cursor walks the whole index, so each keeps only its own log's segments.
+  // A log_id this mount has no log for (an image written with more logs, or
+  // a damaged tag) counts as the coldest log's.
   //
   // In multi-log mode nearly full victims are declined (see
   // kMultilogVictimMaxU) — with a no-wedge fallback: if the bar filtered
   // everything out, re-select without it rather than refuse to clean while
   // dead bytes exist.
+  const uint32_t nlogs = writer_.num_logs();
+  const uint32_t ncursors = governor_.enabled() ? nlogs : 1;
   std::vector<SegNo> chosen;
-  bool decline_full = writer_.num_logs() > 1;
   for (int attempt = 0; attempt < 2 && chosen.empty(); attempt++) {
-    bool bar_active = decline_full && attempt == 0;
+    bool bar_active = nlogs > 1 && attempt == 0;
     uint64_t planned_live = 0;
-    VictimIndex::Cursor cursor =
-        usage_.SelectVictims(cfg_.policy == CleaningPolicy::kGreedy, now);
-    for (SegNo seg = cursor.Next();
-         seg != VictimIndex::kNone && chosen.size() < max_segments; seg = cursor.Next()) {
-      if (off_limits[seg]) {
-        continue;
+    std::vector<VictimIndex::Cursor> cursors;
+    cursors.reserve(ncursors);
+    for (uint32_t c = 0; c < ncursors; c++) {
+      CleaningPolicy pol = c == 0 ? decision.hot_policy : decision.cold_policy;
+      cursors.push_back(usage_.SelectVictims(pol == CleaningPolicy::kGreedy, now));
+    }
+    // Chooses cursor c's next acceptable candidate; false once it runs dry.
+    auto choose_next = [&](uint32_t c) {
+      for (SegNo seg = cursors[c].Next(); seg != VictimIndex::kNone; seg = cursors[c].Next()) {
+        if (std::min<uint32_t>(usage_.Get(seg).log_id, ncursors - 1) != c || off_limits[seg]) {
+          continue;
+        }
+        // Never touch segments written after the last checkpoint: they are
+        // the roll-forward log tail and must survive until the next
+        // checkpoint.
+        if (usage_.write_seq(seg) >= ckpt_boundary_seq_) {
+          continue;
+        }
+        if (bar_active && usage_.Utilization(seg) >= kMultilogVictimMaxU) {
+          continue;  // segregated-and-still-live: not worth re-copying
+        }
+        uint64_t live = usage_.Get(seg).live_bytes;
+        if (planned_live + live > budget) {
+          continue;  // try a smaller (likely emptier) candidate
+        }
+        planned_live += live;
+        chosen.push_back(seg);
+        return true;
       }
-      // Never touch segments written after the last checkpoint: they are the
-      // roll-forward log tail and must survive until the next checkpoint.
-      if (usage_.write_seq(seg) >= ckpt_boundary_seq_) {
-        continue;
+      return false;
+    };
+    std::vector<uint8_t> dry(ncursors, 0);
+    uint32_t remaining = ncursors;
+    while (remaining > 0 && chosen.size() < max_segments) {
+      for (uint32_t c = 0; c < ncursors && chosen.size() < max_segments; c++) {
+        if (!dry[c] && !choose_next(c)) {
+          dry[c] = 1;
+          remaining--;
+        }
       }
-      if (bar_active && usage_.Utilization(seg) >= kMultilogVictimMaxU) {
-        continue;  // segregated-and-still-live: not worth re-copying
-      }
-      uint64_t live = usage_.Get(seg).live_bytes;
-      if (planned_live + live > budget) {
-        continue;  // try a smaller (likely emptier) candidate
-      }
-      planned_live += live;
-      chosen.push_back(seg);
     }
     if (!bar_active) {
       break;
     }
   }
-
   return chosen;
 }
 
@@ -365,72 +395,6 @@ Result<uint32_t> LfsFileSystem::CollectLiveBlocksSparse(SegNo seg, uint32_t star
   return walked_to_end ? sb_.segment_blocks : chain.next_offset();
 }
 
-std::vector<SegNo> LfsFileSystem::SelectSegmentsToCleanAdaptive(
-    uint32_t max_segments, uint64_t now, const GovernorDecision& decision) {
-  std::vector<uint8_t> off_limits = ProtectedSegmentBitmap();
-  uint64_t buffered = dirty_count_.load() * uint64_t{sb_.block_size};
-  uint64_t budget = usage_.clean_count() > 1
-                        ? (uint64_t{usage_.clean_count()} - 1) * sb_.segment_bytes()
-                        : 0;
-  budget = budget > buffered ? budget - buffered : 0;
-
-  const uint32_t nlogs = writer_.num_logs();
-  std::vector<SegNo> chosen;
-  bool decline_full = nlogs > 1;
-  for (int attempt = 0; attempt < 2 && chosen.empty(); attempt++) {
-    bool bar_active = decline_full && attempt == 0;
-    uint64_t planned_live = 0;
-    // One cursor per log, each under that log's policy; candidates pop
-    // round-robin across the logs so no population starves. A cursor walks
-    // the whole index, so each log filters down to its own segments by the
-    // persisted log_id tag. With one log this is exactly one cursor under
-    // the governor's hot policy.
-    std::vector<VictimIndex::Cursor> cursors;
-    cursors.reserve(nlogs);
-    for (uint32_t log = 0; log < nlogs; log++) {
-      CleaningPolicy pol = log == 0 ? decision.hot_policy : decision.cold_policy;
-      cursors.push_back(usage_.SelectVictims(pol == CleaningPolicy::kGreedy, now));
-    }
-    std::vector<uint8_t> done(nlogs, 0);
-    uint32_t remaining = nlogs;
-    while (remaining > 0 && chosen.size() < max_segments) {
-      for (uint32_t log = 0; log < nlogs && chosen.size() < max_segments; log++) {
-        if (done[log]) {
-          continue;
-        }
-        for (;;) {
-          SegNo seg = cursors[log].Next();
-          if (seg == VictimIndex::kNone) {
-            done[log] = 1;
-            remaining--;
-            break;
-          }
-          if (usage_.Get(seg).log_id != log || off_limits[seg]) {
-            continue;
-          }
-          if (usage_.write_seq(seg) >= ckpt_boundary_seq_) {
-            continue;
-          }
-          if (bar_active && usage_.Utilization(seg) >= kMultilogVictimMaxU) {
-            continue;
-          }
-          uint64_t live = usage_.Get(seg).live_bytes;
-          if (planned_live + live > budget) {
-            continue;  // try a smaller (likely emptier) candidate
-          }
-          planned_live += live;
-          chosen.push_back(seg);
-          break;
-        }
-      }
-    }
-    if (!bar_active) {
-      break;
-    }
-  }
-  return chosen;
-}
-
 Result<uint32_t> LfsFileSystem::CleanerPass() {
   if (in_cleaner_) {
     return uint32_t{0};
@@ -472,19 +436,11 @@ Result<uint32_t> LfsFileSystem::CleanerPass() {
   RelaxedDelta<uint64_t> qos_reads(stats_.clean_read_bytes);
   RelaxedDelta<uint64_t> qos_writes(stats_.clean_write_bytes);
 
-  // Adaptive policy + partial compaction only engage when configured; the
-  // legacy selection and accounting below are byte-for-byte unchanged
-  // otherwise.
-  GovernorDecision decision;
-  const bool fine_grained = governor_.enabled() || cfg_.partial_compaction;
-  if (fine_grained) {
-    decision = governor_.Decide(usage_.UtilizationHistogram());
-    stats_.governor_switches = governor_.switches();
-  }
-  std::vector<SegNo> chosen =
-      governor_.enabled()
-          ? SelectSegmentsToCleanAdaptive(cfg_.segments_per_pass, clock_.Now(), decision)
-          : SelectSegmentsToClean(cfg_.segments_per_pass);
+  // Each log's victim-ordering policy: cfg_.policy for every log unless the
+  // governor is adapting it to the utilization histogram.
+  GovernorDecision decision = governor_.Decide(usage_.UtilizationHistogram());
+  stats_.governor_switches = governor_.switches();
+  std::vector<SegNo> chosen = SelectSegmentsToClean(cfg_.segments_per_pass, decision);
   if (chosen.empty()) {
     return cleanup(Result<uint32_t>(uint32_t{0}));
   }
@@ -513,25 +469,21 @@ Result<uint32_t> LfsFileSystem::CleanerPass() {
   plans.reserve(chosen.size());
 
   std::vector<LiveBlock> live_blocks;
-  uint32_t quarantined_this_pass = 0;
   for (SegNo seg : chosen) {
     VictimPlan plan;
     plan.seg = seg;
     plan.live_before = usage_.Get(seg).live_bytes;
     plan.u_before = usage_.Utilization(seg);
-    plan.policy = governor_.enabled()
-                      ? (usage_.Get(seg).log_id == 0 ? decision.hot_policy
-                                                     : decision.cold_policy)
-                      : cfg_.policy;
+    plan.policy = usage_.Get(seg).log_id == 0 ? decision.hot_policy : decision.cold_policy;
     // Drain high-utilization victims incrementally: relocating a bounded run
     // of live blocks costs a fraction of a full round-trip, and the freed
     // bytes raise (1-u) for the next selection instead of being hostage to a
     // whole-segment copy.
-    plan.partial = decision.partial && plan.live_before > 0 &&
+    plan.partial = cfg_.partial_compaction && plan.live_before > 0 &&
                    plan.u_before >= cfg_.partial_compaction_min_u;
+    bool media_damage = false;
     if (plan.partial) {
       size_t before = live_blocks.size();
-      bool media_damage = false;
       Result<uint32_t> stop =
           CollectLiveBlocksSparse(seg, usage_.compact_cursor(seg),
                                   cfg_.partial_compaction_max_blocks, seg, &live_blocks,
@@ -545,37 +497,25 @@ Result<uint32_t> LfsFileSystem::CleanerPass() {
       // rather than skip them forever.
       usage_.set_compact_cursor(seg, *stop + 1 < sb_.segment_blocks ? *stop : 0);
       plan.blocks_moved = live_blocks.size() - before;
-      if (media_damage) {
-        usage_.SetState(seg, SegState::kQuarantined);
-        LFS_TRACE(obs_.tracer(), obs::TraceEventType::kQuarantine, obs::OpType::kCleanerPass,
-                  clock_.Now(), seg, plan.live_before, device_->ModeledTime());
-        stats_.segments_quarantined++;
-        quarantined_this_pass++;
-        plan.quarantined = true;
-      }
-      plans.push_back(plan);
-      continue;
-    }
-    stats_.segments_cleaned++;
-    if (plan.live_before == 0) {
+    } else if (plan.live_before == 0) {
       // An empty segment need not be read at all (Section 3.4: u=0 gives
       // write cost 1.0). Table 2 found more than half of cleaned segments
       // empty in production.
+      stats_.segments_cleaned++;
       stats_.segments_cleaned_empty++;
       stats_.segments_cleaned_by_policy[static_cast<size_t>(plan.policy)]++;
       usage_.SetState(seg, SegState::kClean);
       plans.push_back(plan);
       continue;
-    }
-    stats_.sum_cleaned_utilization += usage_.Utilization(seg);
-    bool media_damage = false;
-    Status collect = cfg_.cleaner_read_live_blocks_only
-                         ? CollectLiveBlocksSparse(seg, 0, UINT32_MAX, kNilSeg, &live_blocks,
-                                                   &media_damage)
-                               .status()
-                         : CollectLiveBlocksWhole(seg, &live_blocks, &media_damage);
-    if (!collect.ok()) {
-      return cleanup(Result<uint32_t>(collect));
+    } else {
+      Status collect = cfg_.cleaner_read_live_blocks_only
+                           ? CollectLiveBlocksSparse(seg, 0, UINT32_MAX, kNilSeg, &live_blocks,
+                                                     &media_damage)
+                                 .status()
+                           : CollectLiveBlocksWhole(seg, &live_blocks, &media_damage);
+      if (!collect.ok()) {
+        return cleanup(Result<uint32_t>(collect));
+      }
     }
     if (media_damage) {
       // The victim has unreadable or corrupt blocks. Quarantine it: never
@@ -586,10 +526,10 @@ Result<uint32_t> LfsFileSystem::CleanerPass() {
       LFS_TRACE(obs_.tracer(), obs::TraceEventType::kQuarantine, obs::OpType::kCleanerPass,
                 clock_.Now(), seg, plan.live_before, device_->ModeledTime());
       stats_.segments_quarantined++;
-      quarantined_this_pass++;
       plan.quarantined = true;
-      stats_.segments_cleaned--;  // it was not reclaimed
-      stats_.sum_cleaned_utilization -= usage_.Utilization(seg);
+    } else if (!plan.partial) {
+      stats_.segments_cleaned++;
+      stats_.sum_cleaned_utilization += plan.u_before;
     }
     plans.push_back(plan);
   }
@@ -705,11 +645,6 @@ uint32_t LfsFileSystem::EffectiveCleanHi() const {
 }
 
 Status LfsFileSystem::MaybeClean() {
-  if (debug_cleaner_) {
-    fprintf(stderr, "[MaybeClean] in_cleaner=%d usable=%u lo=%u clean=%u zero_dirty=%u\n",
-            (int)in_cleaner_, writer_.usable_clean_segments(), EffectiveCleanLo(),
-            usage_.clean_count(), usage_.zero_live_dirty_count());
-  }
   if (in_cleaner_ || writer_.usable_clean_segments() >= EffectiveCleanLo()) {
     return OkStatus();
   }
@@ -758,18 +693,6 @@ Status LfsFileSystem::MaybeClean() {
     LFS_ASSIGN_OR_RETURN(uint32_t reclaimed, CleanerPass());
     reclaimed_any = reclaimed_any || reclaimed > 0;
     if (reclaimed == 0) {
-      if (debug_cleaner_) {
-        uint32_t dirty_pre = 0, dirty_post = 0, zero = 0;
-        for (SegNo seg = 0; seg < sb_.nsegments; seg++) {
-          const SegUsageEntry& e = usage_.Get(seg);
-          if (e.state != SegState::kDirty) continue;
-          if (e.live_bytes == 0) zero++;
-          if (usage_.write_seq(seg) >= ckpt_boundary_seq_) dirty_post++; else dirty_pre++;
-        }
-        fprintf(stderr, "[cleaner stuck] clean=%u usable=%u dirty_pre=%u dirty_post=%u zero=%u util=%.3f ckpted=%d\n",
-                usage_.clean_count(), writer_.usable_clean_segments(), dirty_pre, dirty_post,
-                zero, usage_.DiskUtilization(), (int)checkpointed);
-      }
       // Segments written since the last checkpoint are off-limits to the
       // cleaner (they are the roll-forward tail). If that is all that is
       // left, take a checkpoint to advance the boundary and retry once.
@@ -857,11 +780,7 @@ void LfsFileSystem::CleanerThreadMain() {
           writer_.usable_clean_segments() < EffectiveCleanLo()) {
         // Failures flip the filesystem into degraded read-only inside the
         // cleaning machinery itself; there is no caller to report to here.
-        Status st = MaybeClean();
-        if (!st.ok() && debug_cleaner_) {
-          fprintf(stderr, "[cleaner thread] MaybeClean: %s\n",
-                  st.ToString().c_str());
-        }
+        (void)MaybeClean();
       }
     }
     lk.lock();

@@ -94,7 +94,6 @@ TEST(CleanerGovernorTest, ThresholdIsInclusiveAndSwitchesAreCounted) {
 TEST(CleanerGovernorTest, DisabledGovernorPassesThroughFixedPolicy) {
   LfsConfig cfg;
   cfg.policy = CleaningPolicy::kGreedy;
-  cfg.partial_compaction = true;
   CleanerGovernor gov;
   gov.Configure(cfg);
   ASSERT_FALSE(gov.enabled());
@@ -104,7 +103,6 @@ TEST(CleanerGovernorTest, DisabledGovernorPassesThroughFixedPolicy) {
   GovernorDecision d = gov.Decide(mid);
   EXPECT_EQ(d.hot_policy, CleaningPolicy::kGreedy);
   EXPECT_EQ(d.cold_policy, CleaningPolicy::kGreedy);
-  EXPECT_TRUE(d.partial);  // partial compaction rides along without adaptivity
   EXPECT_EQ(gov.switches(), 0u);
 }
 

@@ -602,7 +602,7 @@ struct StormShape {
   int prefill_files;
   // Adaptive cleaning, partial compaction and a cleaner QoS bucket; the
   // test then demands that cleaner passes and partial drains both ran.
-  bool fine_grained;
+  bool adaptive;
 };
 
 // Test listings print the shape's name rather than its bytes.
@@ -654,7 +654,7 @@ TEST_P(DirectoryStormTest, ModelsLfsckAndRemountAgree) {
   constexpr uint64_t kNames = 4;  // per thread, and as many rename targets
 
   LfsConfig cfg = ConcurrentConfig();
-  if (shape.fine_grained) {
+  if (shape.adaptive) {
     cfg.adaptive_cleaning = true;
     cfg.partial_compaction = true;
     cfg.cleaner_qos_bytes_per_sec = 4.0 * 1024 * 1024;
@@ -804,7 +804,7 @@ TEST_P(DirectoryStormTest, ModelsLfsckAndRemountAgree) {
   ASSERT_FALSE(HasFailure());
 
   ASSERT_OK(fs->Sync());
-  if (shape.fine_grained) {
+  if (shape.adaptive) {
     EXPECT_GT(fs->stats().cleaner_passes, 0u);
     EXPECT_GT(fs->stats().partial_compactions, 0u);
   }

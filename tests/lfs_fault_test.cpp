@@ -312,10 +312,10 @@ class FaultMatrixTest
     : public ::testing::TestWithParam<std::tuple<uint64_t, bool, bool>> {};
 
 TEST_P(FaultMatrixTest, SeededTransientStressZeroDivergence) {
-  const auto [seed, concurrent, fine_grained] = GetParam();
+  const auto [seed, concurrent, adaptive] = GetParam();
   LfsConfig cfg = SmallConfig();
   cfg.concurrent = concurrent;
-  if (fine_grained) {
+  if (adaptive) {
     cfg.adaptive_cleaning = true;
     cfg.partial_compaction = true;
     cfg.partial_compaction_min_u = 0.3;
