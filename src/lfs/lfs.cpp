@@ -155,7 +155,7 @@ Result<std::unique_ptr<LfsFileSystem>> LfsFileSystem::Mkfs(BlockDevice* device,
   for (uint32_t c = 0; c < fs->usage_.chunk_count(); c++) {
     fs->usage_.MarkChunkDirty(c);
   }
-  LFS_RETURN_IF_ERROR(fs->WriteCheckpointImpl());
+  LFS_RETURN_IF_ERROR(fs->CheckpointImpl(/*flush_buffered=*/true));
   if (cfg.concurrent) {
     fs->StartCleanerThread();
   }
@@ -587,10 +587,15 @@ void LfsFileSystem::SweepZeroLiveSegments() {
 
 Status LfsFileSystem::WriteCheckpoint() {
   ExclusiveSection sec(this);
-  return WriteCheckpointImpl();
+  return CheckpointImpl(/*flush_buffered=*/true);
 }
 
-Status LfsFileSystem::WriteCheckpointImpl() {
+Status LfsFileSystem::LightCheckpoint() {
+  ExclusiveSection sec(this);
+  return CheckpointImpl(/*flush_buffered=*/false);
+}
+
+Status LfsFileSystem::CheckpointImpl(bool flush_buffered) {
   obs::ScopedOpTimer op_timer(&obs_, obs::OpType::kCheckpoint, device_, &clock_);
   // Checkpoints run privileged: they may consume reserve segments, because
   // completing a checkpoint is what returns dead segments to the clean pool.
@@ -602,7 +607,8 @@ Status LfsFileSystem::WriteCheckpointImpl() {
     return st;
   };
   // Phase 1: write out all modified information to the log (Section 4.1).
-  Status st = FlushDirtyData();
+  // A light checkpoint covers only what already reached the segment writer.
+  Status st = flush_buffered ? FlushDirtyData() : writer_.Flush();
   if (!st.ok()) {
     return done(st);
   }
@@ -627,42 +633,9 @@ Status LfsFileSystem::WriteCheckpointImpl() {
     return done(st);
   }
   stats_.checkpoints++;
-  bytes_since_checkpoint_ = 0;
-  return done(OkStatus());
-}
-
-Status LfsFileSystem::LightCheckpoint() {
-  ExclusiveSection sec(this);
-  return LightCheckpointImpl();
-}
-
-Status LfsFileSystem::LightCheckpointImpl() {
-  obs::ScopedOpTimer op_timer(&obs_, obs::OpType::kCheckpoint, device_, &clock_);
-  in_checkpoint_ = true;
-  writer_.set_privileged(true);
-  auto done = [this](Status st) {
-    writer_.set_privileged(false);
-    in_checkpoint_ = false;
-    return st;
-  };
-  Status st = writer_.Flush();
-  if (!st.ok()) {
-    return done(st);
+  if (flush_buffered) {
+    bytes_since_checkpoint_ = 0;
   }
-  SweepZeroLiveSegments();  // before chunk serialization; see WriteCheckpoint
-  st = FlushMetadataChunks();
-  if (!st.ok()) {
-    return done(st);
-  }
-  st = writer_.Flush();
-  if (!st.ok()) {
-    return done(st);
-  }
-  st = WriteCheckpointRegion();
-  if (!st.ok()) {
-    return done(st);
-  }
-  stats_.checkpoints++;
   return done(OkStatus());
 }
 
@@ -720,7 +693,7 @@ Status LfsFileSystem::Sync() {
     return OkStatus();  // nothing can be dirty
   }
   obs::ScopedOpTimer op_timer(&obs_, obs::OpType::kSync, device_, &clock_);
-  return WriteCheckpointImpl();
+  return CheckpointImpl(/*flush_buffered=*/true);
 }
 
 Status LfsFileSystem::Unmount() {
@@ -732,7 +705,7 @@ Status LfsFileSystem::Unmount() {
     ClearInodeTables();
     return OkStatus();
   }
-  LFS_RETURN_IF_ERROR(WriteCheckpointImpl());
+  LFS_RETURN_IF_ERROR(CheckpointImpl(/*flush_buffered=*/true));
   ClearInodeTables();
   return OkStatus();
 }
@@ -759,7 +732,7 @@ Result<uint32_t> LfsFileSystem::ForceClean() {
   // Checkpoint after reclaiming so the recovery scan filter (which probes
   // only checkpoint-clean segments) covers any reuse of the sources.
   if (reclaimed > 0 && !in_checkpoint_ && !in_recovery_) {
-    LFS_RETURN_IF_ERROR(LightCheckpointImpl());
+    LFS_RETURN_IF_ERROR(CheckpointImpl(/*flush_buffered=*/false));
   }
   return reclaimed;
 }

@@ -264,10 +264,11 @@ class LfsFileSystem : public FileSystem {
   // can no longer persist a checkpoint); every later mutation is refused.
   void EnterDegradedReadOnly(const char* why);
 
-  // Lock-free bodies of the public checkpoint entry points, for internal
+  // Lock-free body of both public checkpoint entry points, for internal
   // callers that already hold fs_mu_ (fs_mu_ is not recursive).
-  Status WriteCheckpointImpl();
-  Status LightCheckpointImpl();
+  // flush_buffered: WriteCheckpoint's full flush of buffered data and dirlog
+  // records first; without it, LightCheckpoint's.
+  Status CheckpointImpl(bool flush_buffered);
 
   Status LoadFromCheckpoint(const Checkpoint& ck);
   Status WriteCheckpointRegion();

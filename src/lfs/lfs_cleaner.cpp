@@ -680,7 +680,7 @@ Status LfsFileSystem::MaybeClean() {
     }
     if (harvestable > 0) {
       checkpointed = true;
-      LFS_RETURN_IF_ERROR(LightCheckpointImpl());
+      LFS_RETURN_IF_ERROR(CheckpointImpl(/*flush_buffered=*/false));
     }
     if (writer_.usable_clean_segments() >= EffectiveCleanLo()) {
       return OkStatus();
@@ -698,7 +698,7 @@ Status LfsFileSystem::MaybeClean() {
       // left, take a checkpoint to advance the boundary and retry once.
       if (!checkpointed && !in_checkpoint_ && !in_recovery_) {
         checkpointed = true;
-        LFS_RETURN_IF_ERROR(LightCheckpointImpl());
+        LFS_RETURN_IF_ERROR(CheckpointImpl(/*flush_buffered=*/false));
         continue;
       }
       break;  // nothing cleanable right now; let the writer use what exists
@@ -709,7 +709,7 @@ Status LfsFileSystem::MaybeClean() {
   // checkpoint writes only ever land in checkpoint-clean segments or the
   // active segment).
   if (reclaimed_any && !in_checkpoint_ && !in_recovery_) {
-    LFS_RETURN_IF_ERROR(LightCheckpointImpl());
+    LFS_RETURN_IF_ERROR(CheckpointImpl(/*flush_buffered=*/false));
   }
   return OkStatus();
 }

@@ -844,7 +844,7 @@ Status LfsFileSystem::MaybeAutoCheckpoint() {
       bytes_since_checkpoint_ < cfg_.checkpoint_interval_bytes) {
     return OkStatus();
   }
-  return WriteCheckpointImpl();
+  return CheckpointImpl(/*flush_buffered=*/true);
 }
 
 }  // namespace lfs

@@ -373,7 +373,7 @@ Status LfsFileSystem::RollForward(const Checkpoint& ck) {
   // SECOND crash after a partial flush could leave inconsistencies that
   // nothing can replay. Read-only mounts keep the repairs in memory only.
   if (!read_only_) {
-    LFS_RETURN_IF_ERROR(WriteCheckpointImpl());
+    LFS_RETURN_IF_ERROR(CheckpointImpl(/*flush_buffered=*/true));
   }
   return OkStatus();
 }
