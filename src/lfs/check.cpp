@@ -240,11 +240,7 @@ Result<Inode> Checker::ReadInode(InodeNum ino) {
   const ImapEntry& e = imap_[ino];
   std::vector<uint8_t> block;
   LFS_RETURN_IF_ERROR(ReadBlock(e.inode_block, &block));
-  if ((e.slot + 1u) * kInodeSlotSize > sb_.block_size) {
-    return CorruptionError("imap slot out of range");
-  }
-  return Inode::DecodeFrom(std::span<const uint8_t>(block).subspan(
-      size_t{e.slot} * kInodeSlotSize, kInodeSlotSize));
+  return Inode::DecodeSlot(block, e.slot);
 }
 
 Status Checker::CheckInodesAndFiles() {

@@ -140,6 +140,14 @@ Result<Inode> Inode::DecodeFrom(std::span<const uint8_t> slot) {
   return ino;
 }
 
+Result<Inode> Inode::DecodeSlot(std::span<const uint8_t> block, uint32_t slot) {
+  if ((uint64_t{slot} + 1) * kInodeSlotSize > block.size()) {
+    return CorruptionError("inode slot " + std::to_string(slot) + " does not fit in a " +
+                           std::to_string(block.size()) + "-byte block");
+  }
+  return DecodeFrom(block.subspan(size_t{slot} * kInodeSlotSize, kInodeSlotSize));
+}
+
 // --- segment summary ---------------------------------------------------------
 
 void SegmentSummary::EncodeTo(std::span<uint8_t> block) const {

@@ -143,6 +143,9 @@ struct Inode {
 
   void EncodeTo(std::span<uint8_t> slot) const;  // slot.size() == kInodeSlotSize
   static Result<Inode> DecodeFrom(std::span<const uint8_t> slot);
+  // Decodes slot `slot` of an inode block. A slot that does not fit in the
+  // block (a damaged imap entry) is kCorruption.
+  static Result<Inode> DecodeSlot(std::span<const uint8_t> block, uint32_t slot);
 };
 
 // --- segment summary ---------------------------------------------------------

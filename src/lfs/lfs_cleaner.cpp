@@ -120,8 +120,7 @@ std::vector<SegNo> LfsFileSystem::SelectSegmentsToClean(uint32_t max_segments,
 Status LfsFileSystem::ForEachLiveInode(BlockNo addr, std::span<const uint8_t> content,
                                        const std::function<Status(const Inode&)>& fn) {
   for (uint32_t s = 0; s < sb_.inodes_per_block(); s++) {
-    Result<Inode> ino =
-        Inode::DecodeFrom(content.subspan(size_t{s} * kInodeSlotSize, kInodeSlotSize));
+    Result<Inode> ino = Inode::DecodeSlot(content, s);
     if (!ino.ok() || ino->ino == kNilInode) {
       continue;
     }

@@ -95,13 +95,7 @@ Result<Inode> LfsFileSystem::ReadInodeFromDisk(InodeNum ino) const {
   }
   std::vector<uint8_t> block(sb_.block_size);
   LFS_RETURN_IF_ERROR(ReadLogRun(e.inode_block, 1, block));
-  if ((e.slot + 1u) * kInodeSlotSize > sb_.block_size) {
-    return CorruptionError("imap slot out of range for inode " + std::to_string(ino));
-  }
-  LFS_ASSIGN_OR_RETURN(
-      Inode inode,
-      Inode::DecodeFrom(std::span<const uint8_t>(block).subspan(
-          size_t{e.slot} * kInodeSlotSize, kInodeSlotSize)));
+  LFS_ASSIGN_OR_RETURN(Inode inode, Inode::DecodeSlot(block, e.slot));
   if (inode.ino != ino) {
     return CorruptionError("inode block slot holds inode " + std::to_string(inode.ino) +
                            ", expected " + std::to_string(ino));

@@ -196,8 +196,7 @@ Status LfsFileSystem::RollForward(const Checkpoint& ck) {
       switch (entry.kind) {
         case BlockKind::kInodeBlock: {
           for (uint32_t s = 0; s < sb_.inodes_per_block(); s++) {
-            Result<Inode> ino = Inode::DecodeFrom(content.subspan(size_t{s} * kInodeSlotSize,
-                                                                  kInodeSlotSize));
+            Result<Inode> ino = Inode::DecodeSlot(content, s);
             if (!ino.ok() || ino->ino == kNilInode) {
               continue;
             }
@@ -255,8 +254,7 @@ Status LfsFileSystem::RollForward(const Checkpoint& ck) {
     if (!DeviceRead(old.inode_block, 1, block).ok()) {
       continue;
     }
-    Result<Inode> old_inode_r = Inode::DecodeFrom(std::span<const uint8_t>(block).subspan(
-        size_t{old.slot} * kInodeSlotSize, kInodeSlotSize));
+    Result<Inode> old_inode_r = Inode::DecodeSlot(block, old.slot);
     if (!old_inode_r.ok() || old_inode_r->ino != ino) {
       continue;
     }

@@ -292,6 +292,40 @@ TEST_F(LfsRecoveryTest, RecoveryAfterCleaningSession) {
   }
 }
 
+TEST_F(LfsRecoveryTest, OutOfRangeImapSlotInCheckpointIsNotACrash) {
+  // Roll-forward debits the copy of a replayed inode that the checkpoint's
+  // imap names. With that entry's slot damaged to 0xFFFF the slot lies far
+  // past its inode block: mount must return a Status, not read past it.
+  ASSERT_OK(fs_->WriteFile("/a", TestContent(20, 3000)));
+  ASSERT_OK(fs_->Sync());
+  ASSERT_OK_AND_ASSIGN(InodeNum ino, fs_->Lookup("/a"));
+  // One full write buffer: its commit logs the data and /a's inode after
+  // the checkpoint, and nothing is left buffered to lose.
+  std::vector<uint8_t> content =
+      TestContent(21, size_t{cfg_.write_buffer_blocks} * cfg_.block_size);
+  ASSERT_OK(fs_->WriteAt(ino, 0, content));
+  fs_.reset();  // no Unmount: the next mount rolls forward
+
+  Status primary;
+  ASSERT_OK_AND_ASSIGN(Superblock sb, ReadSuperblock(disk_.get(), &primary));
+  CheckpointRegions cr = ReadCheckpointRegions(disk_.get(), sb);
+  ASSERT_GE(cr.newest, 0);
+  const uint32_t epc = sb.imap_entries_per_chunk();
+  BlockNo chunk = cr.regions[cr.newest]->imap_chunk_addr[ino / epc];
+  std::vector<uint8_t> block(sb.block_size);
+  ASSERT_OK(disk_->Read(chunk, 1, block));
+  const size_t slot = size_t{ino % epc} * kImapEntrySize + 8;  // the entry's u16 slot
+  block[slot] = block[slot + 1] = 0xFF;
+  ASSERT_OK(disk_->Write(chunk, 1, block));
+
+  auto fs = LfsFileSystem::Mount(disk_.get(), cfg_);
+  if (fs.ok()) {
+    EXPECT_GT((*fs)->stats().rollforward_partials, 0u);
+    ASSERT_OK_AND_ASSIGN(auto data, (*fs)->ReadFile("/a"));
+    EXPECT_EQ(data, content);
+  }
+}
+
 // Crash-point sweep: run a fixed workload, crash after the Nth device write
 // for every N, remount, and check global invariants. This is the property
 // test for recovery: no crash point may yield an unmountable or

@@ -345,8 +345,7 @@ void DumpInode(const Image& img, InodeNum ino) {
                 static_cast<unsigned long long>(e.inode_block));
     return;
   }
-  Result<Inode> inode = Inode::DecodeFrom(std::span<const uint8_t>(block).subspan(
-      size_t{e.slot} * kInodeSlotSize, kInodeSlotSize));
+  Result<Inode> inode = Inode::DecodeSlot(block, e.slot);
   if (!inode.ok()) {
     std::printf("inode slot undecodable: %s\n", inode.status().ToString().c_str());
     return;

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Smoke test of the image tools: mkfs_lfs formats a 16 MB image, lfsck finds
-# it clean, every lfsdump command runs, a flipped payload byte is reported by
-# both, and neither lfsck nor lfsdump creates a missing image or changes a
-# truncated one.
+# it clean, every lfsdump command runs, a flipped payload byte and an
+# out-of-range imap slot are reported by both, and neither lfsck nor lfsdump
+# creates a missing image or changes a truncated one.
 #
 #   usage: tools_smoke_test.sh <mkfs_lfs> <lfsck> <lfsdump>
 
@@ -42,6 +42,23 @@ case $json in
 esac
 bad=$("$lfsdump" "$img" crcs | awk '$1 == "0" {print $5}')
 [ "$bad" = 1 ] || fail "lfsdump crcs reports '$bad' bad partials in segment 0, want 1"
+
+# Set inode 1's imap slot (bytes 8-9 of its 24-byte entry) to 0xFFFF, far
+# past its inode block. The imap chunk is the last "imap" block that
+# lfsdump lists in segment 0. Both tools must report it, not crash.
+slot=$dir/slot.img
+"$mkfs" "$slot" 16 > /dev/null || fail "mkfs_lfs"
+imap=$("$lfsdump" "$slot" segment 0 |
+  awk '/^offset/ {off = $2 + 0} $2 == "imap" {blk = off + substr($1, 2)} END {print blk}')
+[ -n "$imap" ] || fail "lfsdump segment 0 lists no imap chunk"
+printf '\377\377' |
+  dd of="$slot" bs=1 seek=$(( (seg_start + imap) * bs + 24 + 8 )) conv=notrunc status=none
+"$lfsdump" "$slot" inode 1 > /dev/null 2>&1
+rc=$?
+[ "$rc" -lt 128 ] || fail "lfsdump inode 1 exits $rc on an out-of-range imap slot"
+"$lfsck" "$slot" > /dev/null 2>&1
+rc=$?
+[ "$rc" -eq 1 ] || fail "lfsck exits $rc on an out-of-range imap slot, want 1"
 
 # Neither tool creates a missing image.
 missing=$dir/missing.img
