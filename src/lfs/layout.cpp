@@ -422,9 +422,16 @@ Result<Superblock> ReadSuperblock(BlockDevice* device, Status* primary) {
     LFS_RETURN_IF_ERROR(device->Read(device->block_count() - 1, 1, block));
     sb = Superblock::DecodeFrom(block);
   }
-  if (sb.ok() && (sb->block_size != device->block_size() ||
-                  sb->total_blocks > device->block_count())) {
-    return CorruptionError("superblock geometry does not match the device");
+  if (!sb.ok()) {
+    return sb;
+  }
+  // One rule in place of a range check per field: cr_blocks, the region and
+  // segment bases and the chunk counts size what mount reads and allocates.
+  Result<Superblock> mkfs = Superblock::Compute(sb->block_size, sb->total_blocks,
+                                                sb->segment_blocks, sb->max_inodes);
+  if (sb->block_size != device->block_size() || sb->total_blocks > device->block_count() ||
+      !mkfs.ok() || *mkfs != *sb) {
+    return CorruptionError("superblock geometry does not match the device or mkfs's layout");
   }
   return sb;
 }

@@ -120,6 +120,8 @@ struct Superblock {
   // small to hold the fixed area plus at least `reserve+4` segments.
   static Result<Superblock> Compute(uint32_t block_size, uint64_t total_blocks,
                                     uint32_t segment_blocks, uint32_t max_inodes);
+
+  bool operator==(const Superblock&) const = default;
 };
 
 // --- inode -------------------------------------------------------------------
@@ -269,8 +271,9 @@ struct Checkpoint {
 
 // Reads the superblock from block 0, or from the backup copy in the device's
 // last block when the primary is unreadable or undecodable, and checks that
-// its geometry fits the device. `*primary` is set to why the primary was
-// passed over (OK when it was used).
+// its geometry fits the device and is exactly what mkfs writes: what Compute
+// derives from its block size, total blocks, segment size and max_inodes.
+// `*primary` is set to why the primary was passed over (OK when it was used).
 Result<Superblock> ReadSuperblock(BlockDevice* device, Status* primary);
 
 // Both checkpoint regions (Section 4.1): each one's checkpoint or why it is

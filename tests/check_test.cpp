@@ -219,6 +219,27 @@ TEST_F(CheckTest, InodeCountPastMaxInodesIsAFindingNotACrash) {
   EXPECT_TRUE(flagged) << report.Summary();
 }
 
+TEST_F(CheckTest, SuperblockUnlikeMkfsLayoutIsCorruptionNotACrash) {
+  // A primary superblock re-sealed with cr_blocks near 2^32 decodes and
+  // fits the device. Mount and the checker used to size a checkpoint-region
+  // buffer from it (about 4 TB: std::bad_alloc) before reading anything.
+  ASSERT_OK(fs_->Unmount());
+  fs_.reset();
+  std::vector<uint8_t> block(cfg_.block_size);
+  ASSERT_OK(disk_->Read(0, 1, block));
+  ASSERT_OK_AND_ASSIGN(Superblock sb, Superblock::DecodeFrom(block));
+  sb.cr_blocks = 0xFFFFFFF0u;
+  sb.EncodeTo(block);
+  ASSERT_OK(disk_->Write(0, 1, block));
+
+  auto mounted = LfsFileSystem::Mount(disk_.get(), cfg_);
+  ASSERT_FALSE(mounted.ok());
+  EXPECT_EQ(mounted.status().code(), StatusCode::kCorruption) << mounted.status().ToString();
+  auto report = CheckLfsImage(disk_.get());
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kCorruption) << report.status().ToString();
+}
+
 TEST_F(CheckTest, SummarySeqFromTwoToThe63IsCorruption) {
   // A checkpoint re-sealed with next_summary_seq near 2^64 must not mount:
   // the writer's sequence would wrap to 0, the cleaner would end a victim's
