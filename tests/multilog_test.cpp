@@ -4,6 +4,7 @@
 // and cleaner interaction with per-temperature segment populations.
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,7 @@
 
 #include "src/disk/crash_disk.h"
 #include "src/lfs/check.h"
+#include "src/util/crc32.h"
 #include "tests/test_util.h"
 
 namespace lfs {
@@ -248,6 +250,85 @@ TEST(MultiLogCleanerTest, ColdMigrationsLandInColdLogs) {
     }
   }
   EXPECT_GT(tagged_cold, 0u) << "no segment was ever filled by a cold log";
+  ASSERT_OK(fs->Unmount());
+}
+
+// Overwrites log block `addr` and re-seals the payload CRC of the partial
+// write that holds it, so the image stays otherwise intact.
+void RewriteLogBlock(MemDisk* disk, const Superblock& sb, BlockNo addr,
+                     const std::vector<uint8_t>& content) {
+  SegmentChain chain(sb, sb.SegOf(addr), 0, sb.segment_blocks,
+                     [disk](BlockNo b, uint64_t n, std::span<uint8_t> out) {
+                       return disk->Read(b, n, out);
+                     });
+  while (chain.Next()) {
+    if (addr < chain.payload_addr() || addr >= chain.payload_addr() + chain.payload_blocks()) {
+      continue;
+    }
+    ASSERT_OK(disk->Write(addr, 1, content));
+    std::vector<uint8_t> payload(size_t{chain.payload_blocks()} * sb.block_size);
+    ASSERT_OK(disk->Read(chain.payload_addr(), chain.payload_blocks(), payload));
+    SegmentSummary sum = chain.summary();
+    sum.payload_crc = Crc32(payload);
+    std::vector<uint8_t> block(sb.block_size);
+    sum.EncodeTo(block);
+    ASSERT_OK(disk->Write(chain.payload_addr() - 1, 1, block));
+    return;
+  }
+  FAIL() << "no partial write holds block " << addr;
+}
+
+TEST(MultiLogCleanerTest, SegmentTaggedWithAnUnmountedLogIsStillCleaned) {
+  // A usage entry may name a log this mount does not have: the image was
+  // written with more logs, or the tag is damaged. The adaptive selector,
+  // which gives each log its own cursor, must count such a segment as the
+  // coldest log's rather than skip it forever.
+  LfsConfig cfg = MultiLogConfig(2);
+  cfg.adaptive_cleaning = true;
+  MemDisk disk(cfg.block_size, 8192);
+  std::map<std::string, std::vector<uint8_t>> ref;
+  {
+    ASSERT_OK_AND_ASSIGN(auto fs, LfsFileSystem::Mkfs(&disk, cfg));
+    Churn(fs.get(), &ref);
+    ASSERT_OK(fs->Unmount());
+  }
+
+  // Re-tag the least-utilized dirty segment that neither checkpoint region
+  // protects (as a host of its chunks) to log 7.
+  Status primary;
+  ASSERT_OK_AND_ASSIGN(Superblock sb, ReadSuperblock(&disk, &primary));
+  CheckpointRegions cr = ReadCheckpointRegions(&disk, sb);
+  ASSERT_GE(cr.newest, 0);
+  std::set<SegNo> hosts;
+  for (const Result<Checkpoint>& region : cr.regions) {
+    if (region.ok()) {
+      hosts.merge(region->ChunkHosts(sb));
+    }
+  }
+  const std::vector<BlockNo>& chunks = cr.regions[cr.newest]->usage_chunk_addr;
+  const uint32_t epc = sb.usage_entries_per_chunk();
+  SegNo victim = kNilSeg;
+  uint32_t victim_live = UINT32_MAX;
+  std::vector<uint8_t> block(sb.block_size);
+  for (SegNo seg = 0; seg < sb.nsegments; seg++) {
+    ASSERT_OK(disk.Read(chunks[seg / epc], 1, block));
+    SegUsageEntry e = SegUsageEntry::DecodeFrom(
+        std::span<const uint8_t>(block).subspan(size_t{seg % epc} * kUsageEntrySize));
+    if (e.state == SegState::kDirty && !hosts.contains(seg) && e.live_bytes < victim_live) {
+      victim = seg;
+      victim_live = e.live_bytes;
+    }
+  }
+  ASSERT_NE(victim, kNilSeg);
+  ASSERT_OK(disk.Read(chunks[victim / epc], 1, block));
+  block[size_t{victim % epc} * kUsageEntrySize + 13] = 7;  // the entry's log_id byte
+  ASSERT_NO_FATAL_FAILURE(RewriteLogBlock(&disk, sb, chunks[victim / epc], block));
+
+  ASSERT_OK_AND_ASSIGN(auto fs, LfsFileSystem::Mount(&disk, cfg));
+  ASSERT_EQ(fs->seg_usage().Get(victim).log_id, 7u);
+  ASSERT_OK(fs->ForceClean().status());
+  EXPECT_EQ(fs->seg_usage().Get(victim).state, SegState::kClean);
+  VerifyAgainstRef(fs.get(), ref);
   ASSERT_OK(fs->Unmount());
 }
 
