@@ -266,8 +266,9 @@ class LfsFileSystem : public FileSystem {
 
   // Lock-free body of both public checkpoint entry points, for internal
   // callers that already hold fs_mu_ (fs_mu_ is not recursive).
-  // flush_buffered: WriteCheckpoint's full flush of buffered data and dirlog
-  // records first; without it, LightCheckpoint's.
+  // With flush_buffered (WriteCheckpoint) buffered data and dirlog records
+  // are flushed first; without it (LightCheckpoint) the checkpoint covers
+  // only what already reached the segment writer.
   Status CheckpointImpl(bool flush_buffered);
 
   Status LoadFromCheckpoint(const Checkpoint& ck);

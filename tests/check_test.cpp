@@ -221,8 +221,9 @@ TEST_F(CheckTest, InodeCountPastMaxInodesIsAFindingNotACrash) {
 
 TEST_F(CheckTest, SuperblockUnlikeMkfsLayoutIsCorruptionNotACrash) {
   // A primary superblock re-sealed with cr_blocks near 2^32 decodes and
-  // fits the device. Mount and the checker used to size a checkpoint-region
-  // buffer from it (about 4 TB: std::bad_alloc) before reading anything.
+  // fits the device. Mount and the checker would otherwise size a
+  // checkpoint-region buffer from it (about 4 TB: std::bad_alloc) before
+  // reading anything.
   ASSERT_OK(fs_->Unmount());
   fs_.reset();
   std::vector<uint8_t> block(cfg_.block_size);
