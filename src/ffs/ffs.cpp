@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "src/util/codec.h"
-
 namespace lfs::ffs {
 
 FfsFileSystem::FfsFileSystem(BlockDevice* device, const FfsSuperblock& sb)
@@ -197,56 +195,26 @@ Result<FfsFileSystem::FileMap*> FfsFileSystem::GetFileMap(InodeNum ino) {
     return &it->second;
   }
   LFS_ASSIGN_OR_RETURN(FfsInode inode, ReadInode(ino));
-  FileMap fm;
-  fm.inode = inode;
-  const uint32_t bs = sb_.block_size;
-  uint64_t nblocks = (inode.size + bs - 1) / bs;
-  fm.blocks.assign(nblocks, kNilBlock);
-  for (uint64_t i = 0; i < std::min<uint64_t>(kFfsNumDirect, nblocks); i++) {
-    fm.blocks[i] = inode.direct[i];
-  }
-  if (nblocks > kFfsNumDirect) {
-    const uint32_t ppb = sb_.pointers_per_block();
-    uint64_t ind_count = (nblocks - kFfsNumDirect + ppb - 1) / ppb;
-    fm.ind_addrs.assign(ind_count, kNilBlock);
-    fm.ind_addrs[0] = inode.single_indirect;
-    std::vector<uint8_t> block(bs);
-    if (ind_count > 1) {
-      fm.dind_addr = inode.double_indirect;
-      if (fm.dind_addr != kNilBlock) {
-        LFS_RETURN_IF_ERROR(device_->ReadBlock(fm.dind_addr, block));
-        Decoder dec(block);
-        for (uint64_t j = 1; j < ind_count; j++) {
-          fm.ind_addrs[j] = dec.GetU64();
-        }
-      }
-    }
-    for (uint64_t i = 0; i < ind_count; i++) {
-      if (fm.ind_addrs[i] == kNilBlock) {
-        continue;
-      }
-      LFS_RETURN_IF_ERROR(device_->ReadBlock(fm.ind_addrs[i], block));
-      Decoder dec(block);
-      for (uint32_t j = 0; j < ppb; j++) {
-        uint64_t fbn = kFfsNumDirect + i * ppb + j;
-        BlockNo addr = dec.GetU64();
-        if (fbn < nblocks) {
-          fm.blocks[fbn] = addr;
-        }
-      }
-    }
-  }
-  auto [pos, inserted] = files_.emplace(ino, std::move(fm));
-  (void)inserted;
-  return &pos->second;
+  LFS_ASSIGN_OR_RETURN(
+      BlockTree tree,
+      BlockTree::Load(sb_.block_size, inode.size, inode.direct, inode.single_indirect,
+                      inode.double_indirect, [this](BlockNo addr, std::span<uint8_t> out) {
+                        return device_->ReadBlock(addr, out);
+                      }));
+  return &files_.emplace(ino, FileMap{inode, std::move(tree)}).first->second;
 }
 
-void FfsFileSystem::MarkPointersDirty(FileMap* fm, uint64_t fbn) {
-  fm->pointers_dirty = true;
-  if (fbn >= kFfsNumDirect) {
-    fm->dirty_ind.insert(
-        static_cast<uint32_t>((fbn - kFfsNumDirect) / sb_.pointers_per_block()));
-  }
+Status FfsFileSystem::CreateInode(InodeNum ino, FileType type) {
+  FileMap fm{FfsInode{}, BlockTree(sb_.block_size)};
+  fm.inode.ino = ino;
+  fm.inode.type = type;
+  fm.inode.nlink = 1;
+  fm.inode.mtime = clock_.Tick();
+  // The new inode is written twice (crash-recovery hardening the paper
+  // counts among FFS's five small I/Os per create).
+  LFS_RETURN_IF_ERROR(WriteInodeSync(fm.inode, /*times=*/2));
+  files_.insert_or_assign(ino, std::move(fm));
+  return OkStatus();
 }
 
 Status FfsFileSystem::FlushAllPointers() {
@@ -260,92 +228,39 @@ Status FfsFileSystem::FlushAllPointers() {
 }
 
 Status FfsFileSystem::FlushPointers(FileMap* fm) {
-  const uint32_t bs = sb_.block_size;
-  const uint32_t ppb = sb_.pointers_per_block();
-  uint64_t nblocks = fm->blocks.size();
-  uint32_t group = GroupOfInode(fm->inode.ino);
-
-  // Write back the indirect blocks whose pointers changed; allocate on
-  // demand. Indirect blocks live at stable addresses, so these are in-place
-  // updates — exactly the metadata traffic FFS pays.
-  if (nblocks > kFfsNumDirect) {
-    uint64_t ind_count = (nblocks - kFfsNumDirect + ppb - 1) / ppb;
-    if (fm->ind_addrs.size() < ind_count) {
-      fm->ind_addrs.resize(ind_count, kNilBlock);
+  BlockTree& tree = fm->tree;
+  const uint32_t group = GroupOfInode(fm->inode.ino);
+  // Pointer blocks live at stable addresses, allocated on first write, so
+  // these are in-place updates — exactly the metadata traffic FFS pays.
+  auto write = [&](BlockNo* addr, std::vector<uint8_t> block) -> Status {
+    if (*addr == kNilBlock) {
+      LFS_ASSIGN_OR_RETURN(*addr, AllocBlock(group, kNilBlock));
     }
-    for (uint32_t i : fm->dirty_ind) {
-      if (i >= ind_count) {
-        continue;
-      }
-      if (fm->ind_addrs[i] == kNilBlock) {
-        LFS_ASSIGN_OR_RETURN(fm->ind_addrs[i], AllocBlock(group, kNilBlock));
-      }
-      std::vector<uint8_t> block;
-      block.reserve(bs);
-      Encoder enc(&block);
-      for (uint32_t j = 0; j < ppb; j++) {
-        uint64_t fbn = kFfsNumDirect + uint64_t{i} * ppb + j;
-        enc.PutU64(fbn < nblocks ? fm->blocks[fbn] : kNilBlock);
-      }
-      LFS_RETURN_IF_ERROR(device_->WriteBlock(fm->ind_addrs[i], block));
-      stats_.metadata_writes++;
-    }
-    if (ind_count > 1) {
-      if (fm->dind_addr == kNilBlock) {
-        LFS_ASSIGN_OR_RETURN(fm->dind_addr, AllocBlock(group, kNilBlock));
-      }
-      std::vector<uint8_t> block;
-      block.reserve(bs);
-      Encoder enc(&block);
-      for (uint32_t j = 0; j < ppb; j++) {
-        uint64_t idx = uint64_t{j} + 1;
-        enc.PutU64(idx < fm->ind_addrs.size() ? fm->ind_addrs[idx] : kNilBlock);
-      }
-      LFS_RETURN_IF_ERROR(device_->WriteBlock(fm->dind_addr, block));
-      stats_.metadata_writes++;
-    }
+    LFS_RETURN_IF_ERROR(device_->WriteBlock(*addr, block));
+    stats_.metadata_writes++;
+    return OkStatus();
+  };
+  for (uint64_t i : tree.dirty_ind) {
+    LFS_RETURN_IF_ERROR(write(&tree.ind_addrs[i], tree.EncodeIndirect(i)));
   }
-  for (uint32_t i = 0; i < kFfsNumDirect; i++) {
-    fm->inode.direct[i] = i < fm->blocks.size() ? fm->blocks[i] : kNilBlock;
+  // The root is written back with every pointer flush of a file that has
+  // one, changed or not.
+  if (tree.ind_addrs.size() > 1) {
+    LFS_RETURN_IF_ERROR(write(&tree.dind_addr, tree.EncodeRoot()));
   }
-  fm->inode.single_indirect = fm->ind_addrs.empty() ? kNilBlock : fm->ind_addrs[0];
-  fm->inode.double_indirect = fm->dind_addr;
-  fm->dirty_ind.clear();
+  tree.dirty_ind.clear();
+  tree.dind_dirty = false;
+  tree.StorePointers(fm->inode.direct, &fm->inode.single_indirect, &fm->inode.double_indirect);
   fm->pointers_dirty = false;
   return WriteInodeSync(fm->inode);
 }
 
-Status FfsFileSystem::GrowFile(FileMap* fm, uint64_t new_block_count) {
-  if (new_block_count > fm->blocks.size()) {
-    fm->blocks.resize(new_block_count, kNilBlock);
+Status FfsFileSystem::CheckCapacity(uint64_t offset, uint64_t len) const {
+  const uint64_t max_bytes = BlockTree::MaxBlocks(sb_.block_size) * sb_.block_size;
+  if (offset > max_bytes || len > max_bytes - offset) {
+    return OutOfRangeError("ffs: file past the largest the block tree addresses (" +
+                           std::to_string(max_bytes) + " bytes)");
   }
-  return OkStatus();
-}
-
-Status FfsFileSystem::ShrinkFile(FileMap* fm, uint64_t new_block_count) {
-  for (uint64_t fbn = new_block_count; fbn < fm->blocks.size(); fbn++) {
-    if (fm->blocks[fbn] != kNilBlock) {
-      FreeBlock(fm->blocks[fbn]);
-    }
-  }
-  fm->blocks.resize(new_block_count);
-  const uint32_t ppb = sb_.pointers_per_block();
-  uint64_t new_ind =
-      new_block_count > kFfsNumDirect ? (new_block_count - kFfsNumDirect + ppb - 1) / ppb : 0;
-  for (uint64_t i = new_ind; i < fm->ind_addrs.size(); i++) {
-    if (fm->ind_addrs[i] != kNilBlock) {
-      FreeBlock(fm->ind_addrs[i]);
-    }
-  }
-  fm->ind_addrs.resize(new_ind, kNilBlock);
-  if (new_ind <= 1 && fm->dind_addr != kNilBlock) {
-    FreeBlock(fm->dind_addr);
-    fm->dind_addr = kNilBlock;
-  }
-  if (new_ind > 0) {
-    fm->dirty_ind.insert(static_cast<uint32_t>(new_ind - 1));  // boundary rewrite
-  }
-  fm->pointers_dirty = true;
   return OkStatus();
 }
 
@@ -357,14 +272,15 @@ Status FfsFileSystem::WriteAt(InodeNum ino, uint64_t offset, std::span<const uin
   if (data.empty()) {
     return OkStatus();
   }
+  LFS_RETURN_IF_ERROR(CheckCapacity(offset, data.size()));
   LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(ino));
   if (fm->inode.type == FileType::kDirectory) {
     return IsADirectoryError("cannot write directly to a directory");
   }
   const uint32_t bs = sb_.block_size;
   uint64_t end = offset + data.size();
-  LFS_RETURN_IF_ERROR(GrowFile(fm, std::max<uint64_t>(fm->blocks.size(),
-                                                      (end + bs - 1) / bs)));
+  fm->tree.Grow((end + bs - 1) / bs);
+  std::vector<BlockNo>& blocks = fm->tree.blocks;
   uint32_t group = GroupOfInode(ino);
   uint64_t pos = offset;
   size_t src = 0;
@@ -374,23 +290,24 @@ Status FfsFileSystem::WriteAt(InodeNum ino, uint64_t offset, std::span<const uin
     uint32_t in_block = static_cast<uint32_t>(pos % bs);
     uint32_t chunk = static_cast<uint32_t>(std::min<uint64_t>(bs - in_block, end - pos));
     std::vector<uint8_t> block(bs, 0);
-    if (chunk != bs && fbn < fm->blocks.size() && fm->blocks[fbn] != kNilBlock) {
-      LFS_RETURN_IF_ERROR(device_->ReadBlock(fm->blocks[fbn], block));
+    if (chunk != bs && blocks[fbn] != kNilBlock) {
+      LFS_RETURN_IF_ERROR(device_->ReadBlock(blocks[fbn], block));
     }
     std::memcpy(block.data() + in_block, data.data() + src, chunk);
-    if (fm->blocks[fbn] == kNilBlock) {
-      BlockNo hint = prev != kNilBlock ? prev
-                     : fbn > 0 && fm->blocks[fbn - 1] != kNilBlock ? fm->blocks[fbn - 1]
-                                                                   : kNilBlock;
-      LFS_ASSIGN_OR_RETURN(fm->blocks[fbn], AllocBlock(group, hint));
-      MarkPointersDirty(fm, fbn);
+    if (blocks[fbn] == kNilBlock) {
+      BlockNo hint = prev != kNilBlock                        ? prev
+                     : fbn > 0 && blocks[fbn - 1] != kNilBlock ? blocks[fbn - 1]
+                                                               : kNilBlock;
+      LFS_ASSIGN_OR_RETURN(blocks[fbn], AllocBlock(group, hint));
+      fm->tree.MarkDirty(fbn);
+      fm->pointers_dirty = true;
     }
     // One individual disk operation per block (pre-4.1.1 SunOS behaviour the
     // paper measured; Figure 9's caption).
-    LFS_RETURN_IF_ERROR(device_->WriteBlock(fm->blocks[fbn], block));
+    LFS_RETURN_IF_ERROR(device_->WriteBlock(blocks[fbn], block));
     stats_.data_writes++;
     stats_.data_bytes_written += bs;
-    prev = fm->blocks[fbn];
+    prev = blocks[fbn];
     data_blocks_since_pointer_flush_++;
     pos += chunk;
     src += chunk;
@@ -419,26 +336,27 @@ Result<uint64_t> FfsFileSystem::ReadAt(InodeNum ino, uint64_t offset, std::span<
   }
   const uint32_t bs = sb_.block_size;
   uint64_t want = std::min<uint64_t>(out.size(), fm->inode.size - offset);
+  const std::vector<BlockNo>& blocks = fm->tree.blocks;
   uint64_t done = 0;
   while (done < want) {
     uint64_t pos = offset + done;
     uint64_t fbn = pos / bs;
     uint32_t in_block = static_cast<uint32_t>(pos % bs);
     uint32_t chunk = static_cast<uint32_t>(std::min<uint64_t>(bs - in_block, want - done));
-    if (in_block == 0 && chunk == bs && fm->blocks[fbn] != kNilBlock) {
+    if (in_block == 0 && chunk == bs && blocks[fbn] != kNilBlock) {
       // Coalesce contiguous allocations into one sequential read.
       uint64_t run = 1;
-      while (done + run * bs + bs <= want && fbn + run < fm->blocks.size() &&
-             fm->blocks[fbn + run] == fm->blocks[fbn] + run) {
+      while (done + run * bs + bs <= want && fbn + run < blocks.size() &&
+             blocks[fbn + run] == blocks[fbn] + run) {
         run++;
       }
-      LFS_RETURN_IF_ERROR(device_->Read(fm->blocks[fbn], run, out.subspan(done, run * bs)));
+      LFS_RETURN_IF_ERROR(device_->Read(blocks[fbn], run, out.subspan(done, run * bs)));
       done += run * bs;
       continue;
     }
     std::vector<uint8_t> block(bs, 0);
-    if (fbn < fm->blocks.size() && fm->blocks[fbn] != kNilBlock) {
-      LFS_RETURN_IF_ERROR(device_->ReadBlock(fm->blocks[fbn], block));
+    if (fbn < blocks.size() && blocks[fbn] != kNilBlock) {
+      LFS_RETURN_IF_ERROR(device_->ReadBlock(blocks[fbn], block));
     }
     std::memcpy(out.data() + done, block.data() + in_block, chunk);
     done += chunk;
@@ -452,18 +370,20 @@ Status FfsFileSystem::Truncate(InodeNum ino, uint64_t new_size) {
   if (fm->inode.type == FileType::kDirectory) {
     return IsADirectoryError("cannot truncate a directory");
   }
+  LFS_RETURN_IF_ERROR(CheckCapacity(new_size, 0));
   const uint32_t bs = sb_.block_size;
+  BlockTree& tree = fm->tree;
   if (new_size < fm->inode.size) {
-    LFS_RETURN_IF_ERROR(ShrinkFile(fm, (new_size + bs - 1) / bs));
-    if (new_size % bs != 0 && fm->blocks[new_size / bs] != kNilBlock) {
+    tree.Shrink((new_size + bs - 1) / bs, [this](BlockNo addr) { FreeBlock(addr); });
+    if (new_size % bs != 0 && tree.blocks[new_size / bs] != kNilBlock) {
       std::vector<uint8_t> block(bs);
-      LFS_RETURN_IF_ERROR(device_->ReadBlock(fm->blocks[new_size / bs], block));
+      LFS_RETURN_IF_ERROR(device_->ReadBlock(tree.blocks[new_size / bs], block));
       std::memset(block.data() + new_size % bs, 0, bs - new_size % bs);
-      LFS_RETURN_IF_ERROR(device_->WriteBlock(fm->blocks[new_size / bs], block));
+      LFS_RETURN_IF_ERROR(device_->WriteBlock(tree.blocks[new_size / bs], block));
       stats_.data_writes++;
     }
   } else {
-    LFS_RETURN_IF_ERROR(GrowFile(fm, (new_size + bs - 1) / bs));
+    tree.Grow((new_size + bs - 1) / bs);
   }
   fm->inode.size = new_size;
   fm->inode.mtime = clock_.Tick();
@@ -512,7 +432,7 @@ Result<Directory*> FfsFileSystem::GetDirectory(InodeNum dir_ino) {
   }
   Directory dir(sb_.block_size);
   std::vector<uint8_t> block(sb_.block_size);
-  for (BlockNo addr : fm->blocks) {
+  for (BlockNo addr : fm->tree.blocks) {
     std::fill(block.begin(), block.end(), 0);  // a hole loads as an empty block
     if (addr != kNilBlock) {
       LFS_RETURN_IF_ERROR(device_->ReadBlock(addr, block));
@@ -529,12 +449,14 @@ Result<InodeNum> FfsFileSystem::LookupInDir(InodeNum dir_ino, std::string_view n
 
 Status FfsFileSystem::WriteDirBlockSync(InodeNum dir_ino, const Directory& dir, uint64_t fbn) {
   LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(dir_ino));
-  LFS_RETURN_IF_ERROR(GrowFile(fm, dir.block_count()));
-  if (fm->blocks[fbn] == kNilBlock) {
-    LFS_ASSIGN_OR_RETURN(fm->blocks[fbn], AllocBlock(GroupOfInode(dir_ino), kNilBlock));
+  BlockTree& tree = fm->tree;
+  tree.Grow(dir.block_count());
+  if (tree.blocks[fbn] == kNilBlock) {
+    LFS_ASSIGN_OR_RETURN(tree.blocks[fbn], AllocBlock(GroupOfInode(dir_ino), kNilBlock));
+    tree.MarkDirty(fbn);
   }
   // Directory data is metadata for crash purposes: synchronous write.
-  LFS_RETURN_IF_ERROR(device_->WriteBlock(fm->blocks[fbn], dir.block(fbn)));
+  LFS_RETURN_IF_ERROR(device_->WriteBlock(tree.blocks[fbn], dir.block(fbn)));
   stats_.metadata_writes++;
   fm->inode.size = std::max<uint64_t>(fm->inode.size, dir.block_count() * sb_.block_size);
   fm->inode.mtime = clock_.Tick();
@@ -592,15 +514,7 @@ Result<InodeNum> FfsFileSystem::Create(std::string_view path) {
     return AlreadyExistsError(std::string(path));
   }
   LFS_ASSIGN_OR_RETURN(InodeNum ino, AllocInode(GroupOfInode(dir_ino)));
-  FileMap fm;
-  fm.inode.ino = ino;
-  fm.inode.type = FileType::kRegular;
-  fm.inode.nlink = 1;
-  fm.inode.mtime = clock_.Tick();
-  // The new inode is written twice (crash-recovery hardening the paper
-  // counts among FFS's five small I/Os per create).
-  LFS_RETURN_IF_ERROR(WriteInodeSync(fm.inode, /*times=*/2));
-  files_[ino] = std::move(fm);
+  LFS_RETURN_IF_ERROR(CreateInode(ino, FileType::kRegular));
   LFS_RETURN_IF_ERROR(AddDirEntry(dir_ino, DirEntry{name, ino, FileType::kRegular}));
   return ino;
 }
@@ -617,20 +531,14 @@ Status FfsFileSystem::Mkdir(std::string_view path) {
   // that physically separates files in different directories).
   LFS_ASSIGN_OR_RETURN(InodeNum ino, AllocInode(next_dir_group_));
   next_dir_group_ = (next_dir_group_ + 1) % sb_.ngroups;
-  FileMap fm;
-  fm.inode.ino = ino;
-  fm.inode.type = FileType::kDirectory;
-  fm.inode.nlink = 1;
-  fm.inode.mtime = clock_.Tick();
-  LFS_RETURN_IF_ERROR(WriteInodeSync(fm.inode, /*times=*/2));
-  files_[ino] = std::move(fm);
+  LFS_RETURN_IF_ERROR(CreateInode(ino, FileType::kDirectory));
   dirs_.insert_or_assign(ino, Directory(sb_.block_size));
   return AddDirEntry(dir_ino, DirEntry{name, ino, FileType::kDirectory});
 }
 
 Status FfsFileSystem::DeleteFileContents(InodeNum ino) {
   LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(ino));
-  LFS_RETURN_IF_ERROR(ShrinkFile(fm, 0));
+  fm->tree.Shrink(0, [this](BlockNo addr) { FreeBlock(addr); });
   FfsInode dead;
   dead.ino = ino;  // type kNone marks the slot free for fsck
   LFS_RETURN_IF_ERROR(WriteInodeSync(dead));
@@ -673,16 +581,7 @@ Status FfsFileSystem::Rmdir(std::string_view path) {
     return NotEmptyError(std::string(path));
   }
   LFS_RETURN_IF_ERROR(RemoveDirEntry(dir_ino, name));
-  // Free the directory's blocks and inode.
-  LFS_ASSIGN_OR_RETURN(FileMap * dfm, GetFileMap(ino));
-  LFS_RETURN_IF_ERROR(ShrinkFile(dfm, 0));
-  FfsInode dead;
-  dead.ino = ino;
-  LFS_RETURN_IF_ERROR(WriteInodeSync(dead));
-  FreeInode(ino);
-  files_.erase(ino);
-  dirs_.erase(ino);
-  return OkStatus();
+  return DeleteFileContents(ino);
 }
 
 Status FfsFileSystem::Link(std::string_view existing, std::string_view link_path) {
@@ -809,13 +708,13 @@ Result<FsckReport> FfsFileSystem::Fsck() {
         report.blocks_referenced++;
       }
     };
-    for (BlockNo a : (*fm)->blocks) {
+    for (BlockNo a : (*fm)->tree.blocks) {
       mark(a);
     }
-    for (BlockNo a : (*fm)->ind_addrs) {
+    for (BlockNo a : (*fm)->tree.ind_addrs) {
       mark(a);
     }
-    mark((*fm)->dind_addr);
+    mark((*fm)->tree.dind_addr);
     if (inode.type == FileType::kDirectory) {
       report.directories_walked++;
       Result<Directory*> dir = GetDirectory(num);

@@ -16,13 +16,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "src/disk/block_device.h"
 #include "src/ffs/bitmap.h"
 #include "src/ffs/ffs_layout.h"
+#include "src/fs/block_tree.h"
 #include "src/fs/clock.h"
 #include "src/fs/directory.h"
 #include "src/fs/file_system.h"
@@ -89,11 +89,8 @@ class FfsFileSystem : public FileSystem {
 
   struct FileMap {
     FfsInode inode;
-    std::vector<BlockNo> blocks;
-    std::vector<BlockNo> ind_addrs;  // [0] = single indirect root
-    BlockNo dind_addr = kNilBlock;
-    std::set<uint32_t> dirty_ind;    // indirect blocks needing write-back
-    bool pointers_dirty = false;     // inode/indirects differ from disk
+    BlockTree tree;
+    bool pointers_dirty = false;  // inode/indirects differ from disk
   };
 
   // Allocation (cylinder-group policies).
@@ -113,13 +110,16 @@ class FfsFileSystem : public FileSystem {
 
   // File maps and data I/O.
   Result<FileMap*> GetFileMap(InodeNum ino);
+  // Writes a new inode `ino` of `type` (twice, as FFS does for a new file)
+  // and holds its empty map.
+  Status CreateInode(InodeNum ino, FileType type);
   Status FlushPointers(FileMap* fm);  // write dirty indirect blocks + inode
   // Data-path pointer updates are asynchronous (SunOS's update daemon):
   // they accumulate and are written back periodically or on Sync.
-  void MarkPointersDirty(FileMap* fm, uint64_t fbn);
   Status FlushAllPointers();
-  Status GrowFile(FileMap* fm, uint64_t new_block_count);
-  Status ShrinkFile(FileMap* fm, uint64_t new_block_count);
+  // kOutOfRange when bytes [offset, offset + len) reach past what a block
+  // tree addresses.
+  Status CheckCapacity(uint64_t offset, uint64_t len) const;
 
   // Directories.
   Result<Directory*> GetDirectory(InodeNum dir_ino);

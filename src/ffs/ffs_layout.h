@@ -24,6 +24,7 @@
 #include <span>
 
 #include "src/disk/block_device.h"
+#include "src/fs/block_tree.h"
 #include "src/fs/file_system.h"
 #include "src/util/result.h"
 
@@ -31,7 +32,6 @@ namespace lfs::ffs {
 
 inline constexpr uint32_t kFfsMagic = 0x46465331;  // "FFS1"
 inline constexpr uint32_t kFfsInodeSize = 160;
-inline constexpr uint32_t kFfsNumDirect = 12;
 inline constexpr double kFfsReserveFraction = 0.10;  // the classic 90% limit
 
 struct FfsSuperblock {
@@ -53,7 +53,6 @@ struct FfsSuperblock {
   uint32_t data_blocks_per_group() const { return blocks_per_group - data_start; }
   uint32_t inodes_per_block() const { return block_size / kFfsInodeSize; }
   uint32_t max_inodes() const { return ngroups * inodes_per_group; }
-  uint32_t pointers_per_block() const { return block_size / 8; }
 
   // Fixed disk location of an inode (the calculation Section 3.1 contrasts
   // with the LFS inode map).
@@ -72,15 +71,15 @@ struct FfsSuperblock {
   static Result<FfsSuperblock> Compute(uint32_t block_size, uint64_t total_blocks);
 };
 
-// Same field set as the LFS inode, serialized independently so the two
-// filesystems share no on-disk code.
+// The LFS inode's field set, without a version, serialized independently;
+// its block pointers form the same block tree (src/fs/block_tree.h).
 struct FfsInode {
   InodeNum ino = kNilInode;
   FileType type = FileType::kNone;
   uint16_t nlink = 0;
   uint64_t size = 0;
   uint64_t mtime = 0;
-  BlockNo direct[kFfsNumDirect] = {};
+  BlockNo direct[kNumDirect] = {};
   BlockNo single_indirect = kNilBlock;
   BlockNo double_indirect = kNilBlock;
 

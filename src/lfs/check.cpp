@@ -7,7 +7,6 @@
 
 #include "src/fs/directory.h"
 #include "src/lfs/layout.h"
-#include "src/util/codec.h"
 
 namespace lfs {
 namespace {
@@ -53,6 +52,13 @@ class Checker {
 
   // Reads an inode via the imap; nullopt-style via Result.
   Result<Inode> ReadInode(InodeNum ino);
+  // Loads an inode's block tree, reading its pointer blocks from the device.
+  Result<BlockTree> LoadTree(const Inode& inode) {
+    return BlockTree::Load(sb_.block_size, inode.size, inode.direct, inode.single_indirect,
+                           inode.double_indirect, [this](BlockNo addr, std::span<uint8_t> out) {
+                             return device_->Read(addr, 1, out);
+                           });
+  }
 
   BlockDevice* device_;
   CheckOptions options_;
@@ -244,7 +250,6 @@ Result<Inode> Checker::ReadInode(InodeNum ino) {
 }
 
 Status Checker::CheckInodesAndFiles() {
-  const uint32_t ppb = sb_.pointers_per_block();
   for (InodeNum ino = 1; ino < imap_.size(); ino++) {
     const ImapEntry& e = imap_[ino];
     if (!e.allocated()) {
@@ -289,70 +294,31 @@ Status Checker::CheckInodesAndFiles() {
       continue;
     }
 
-    // Walk the block tree.
-    uint64_t nblocks = (inode.size + sb_.block_size - 1) / sb_.block_size;
-    std::vector<BlockNo> ind_addrs;
-    if (nblocks > kNumDirect) {
-      uint64_t ind_count = (nblocks - kNumDirect + ppb - 1) / ppb;
-      ind_addrs.assign(ind_count, kNilBlock);
-      ind_addrs[0] = inode.single_indirect;
-      if (ind_count > 1) {
-        if (inode.double_indirect != kNilBlock) {
-          Claim(inode.double_indirect, who + " double-indirect");
-          SegNo dseg = sb_.SegOf(inode.double_indirect);
-          if (dseg != kNilSeg) {
-            recomputed_live_[dseg] += sb_.block_size;
-          }
-          std::vector<uint8_t> block;
-          LFS_RETURN_IF_ERROR(ReadBlock(inode.double_indirect, &block));
-          Decoder dec(block);
-          for (uint64_t j = 1; j < ind_count; j++) {
-            ind_addrs[j] = dec.GetU64();
-          }
-        }
-      }
+    Result<BlockTree> tree = LoadTree(inode);
+    if (!tree.ok()) {
+      Error("inode.indirect_unreadable",
+            who + ": unreadable indirect block (" + tree.status().ToString() + ")");
+      continue;
     }
-    auto data_addr = [&](uint64_t fbn, std::vector<std::vector<uint8_t>>& ind_cache)
-        -> Result<BlockNo> {
-      if (fbn < kNumDirect) {
-        return inode.direct[fbn];
+    // Claims one block of the tree and counts it live in its segment.
+    auto claim = [&](BlockNo addr, const std::string& what) {
+      if (addr == kNilBlock) {
+        return;
       }
-      uint64_t idx = (fbn - kNumDirect) / ppb;
-      if (idx >= ind_addrs.size() || ind_addrs[idx] == kNilBlock) {
-        return kNilBlock;
-      }
-      if (ind_cache[idx].empty()) {
-        LFS_RETURN_IF_ERROR(ReadBlock(ind_addrs[idx], &ind_cache[idx]));
-      }
-      Decoder dec(ind_cache[idx]);
-      dec.Skip(((fbn - kNumDirect) % ppb) * 8);
-      return dec.GetU64();
-    };
-    for (uint64_t i = 0; i < ind_addrs.size(); i++) {
-      if (ind_addrs[i] != kNilBlock) {
-        Claim(ind_addrs[i], who + " indirect " + std::to_string(i));
-        SegNo s = sb_.SegOf(ind_addrs[i]);
-        if (s != kNilSeg) {
-          recomputed_live_[s] += sb_.block_size;
-        }
-      }
-    }
-    std::vector<std::vector<uint8_t>> ind_cache(ind_addrs.size());
-    for (uint64_t fbn = 0; fbn < nblocks; fbn++) {
-      Result<BlockNo> addr = data_addr(fbn, ind_cache);
-      if (!addr.ok()) {
-        Error("inode.indirect_unreadable", who + ": unreadable indirect block");
-        break;
-      }
-      if (*addr == kNilBlock) {
-        continue;  // hole
-      }
-      Claim(*addr, who + " fbn " + std::to_string(fbn));
-      SegNo s = sb_.SegOf(*addr);
-      if (s != kNilSeg) {
+      Claim(addr, who + what);
+      if (SegNo s = sb_.SegOf(addr); s != kNilSeg) {
         recomputed_live_[s] += sb_.block_size;
       }
-      report_.live_data_blocks++;
+    };
+    claim(tree->dind_addr, " double-indirect");
+    for (uint64_t i = 0; i < tree->ind_addrs.size(); i++) {
+      claim(tree->ind_addrs[i], " indirect " + std::to_string(i));
+    }
+    for (uint64_t fbn = 0; fbn < tree->blocks.size(); fbn++) {
+      if (tree->blocks[fbn] != kNilBlock) {
+        claim(tree->blocks[fbn], " fbn " + std::to_string(fbn));
+        report_.live_data_blocks++;
+      }
     }
   }
   return OkStatus();
@@ -376,29 +342,16 @@ Status Checker::CheckDirectoryTree() {
       continue;
     }
     Result<Inode> inode = ReadInode(dir);
-    if (!inode.ok() || inode->type != FileType::kDirectory ||
-        inode->size > sb_.max_file_bytes()) {
+    if (!inode.ok() || inode->type != FileType::kDirectory) {
       continue;  // already reported by CheckInodesAndFiles
     }
-    // Read the directory contents block by block through the inode tree.
-    uint64_t nblocks = (inode->size + sb_.block_size - 1) / sb_.block_size;
-    const uint32_t ppb = sb_.pointers_per_block();
-    std::vector<uint8_t> ind;
-    if (nblocks > kNumDirect && inode->single_indirect != kNilBlock) {
-      LFS_RETURN_IF_ERROR(ReadBlock(inode->single_indirect, &ind));
+    Result<BlockTree> tree = LoadTree(*inode);
+    if (!tree.ok()) {
+      continue;  // likewise
     }
-    for (uint64_t fbn = 0; fbn < nblocks; fbn++) {
-      BlockNo addr = kNilBlock;
-      if (fbn < kNumDirect) {
-        addr = inode->direct[fbn];
-      } else if (!ind.empty() && fbn - kNumDirect < ppb) {
-        Decoder dec(ind);
-        dec.Skip((fbn - kNumDirect) * 8);
-        addr = dec.GetU64();
-      } else {
-        Warn("dirtree.oversize", "directory " + std::to_string(dir) + " larger than checker walks");
-        break;
-      }
+    // Read the directory contents block by block through the inode tree.
+    for (uint64_t fbn = 0; fbn < tree->blocks.size(); fbn++) {
+      BlockNo addr = tree->blocks[fbn];
       if (addr == kNilBlock) {
         continue;
       }

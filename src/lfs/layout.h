@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "src/disk/block_device.h"
+#include "src/fs/block_tree.h"
 #include "src/fs/file_system.h"
 #include "src/util/relaxed.h"
 #include "src/util/result.h"
@@ -57,7 +58,6 @@ inline constexpr uint32_t kImapEntrySize = 24;        // per-inode entry in an i
 inline constexpr uint32_t kUsageEntrySize = 16;       // per-segment entry in a usage chunk
 inline constexpr uint32_t kSummaryHeaderSize = 40;
 inline constexpr uint32_t kSummaryEntrySize = 25;
-inline constexpr uint32_t kNumDirect = 12;            // direct block pointers per inode
 
 // What a payload block in the log contains; recorded in the summary entry
 // for the block and used for liveness checks (cleaning) and roll-forward.
@@ -100,14 +100,8 @@ struct Superblock {
   uint32_t inodes_per_block() const { return block_size / kInodeSlotSize; }
   uint32_t imap_entries_per_chunk() const { return block_size / kImapEntrySize; }
   uint32_t usage_entries_per_chunk() const { return block_size / kUsageEntrySize; }
-  uint32_t pointers_per_block() const { return block_size / 8; }
-  // Largest file size the inode's block tree can address: the direct
-  // pointers, one single-indirect block, and a double-indirect block of
-  // single-indirect blocks.
-  uint64_t max_file_bytes() const {
-    uint64_t ppb = pointers_per_block();
-    return (kNumDirect + (1 + ppb) * ppb) * block_size;
-  }
+  // Largest file size the inode's block tree can address.
+  uint64_t max_file_bytes() const { return BlockTree::MaxBlocks(block_size) * block_size; }
   // Maximum payload blocks a single partial-segment write can describe.
   uint32_t max_summary_entries() const {
     return (block_size - kSummaryHeaderSize) / kSummaryEntrySize;

@@ -138,15 +138,8 @@ Result<std::unique_ptr<LfsFileSystem>> LfsFileSystem::Mkfs(BlockDevice* device,
   if (root != kRootInode) {
     return InternalError("mkfs: root inode did not get number 1");
   }
-  FileMap root_fm;
-  root_fm.inode.ino = kRootInode;
-  root_fm.inode.type = FileType::kDirectory;
-  root_fm.inode.nlink = 1;
-  root_fm.inode.version = fs->imap_.Get(kRootInode).version;
-  root_fm.inode.mtime = fs->clock_.Tick();
-  root_fm.inode_dirty = true;
   InodeTableShard& root_shard = fs->TableShard(kRootInode);
-  root_shard.files[kRootInode] = std::move(root_fm);
+  root_shard.files.insert_or_assign(kRootInode, fs->NewFileMap(kRootInode, FileType::kDirectory));
   root_shard.dirs.insert_or_assign(kRootInode, Directory(fs->sb_.block_size));
   fs->MarkInodeDirty(kRootInode);
 
@@ -742,7 +735,7 @@ Result<std::vector<BlockNo>> LfsFileSystem::FileBlockAddresses(InodeNum ino) {
   std::shared_lock<std::shared_mutex> lock(fs_mu_);
   InodeLockSet il(ilocks_, {ino}, /*exclusive=*/false);
   LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(ino));
-  return fm->blocks;
+  return fm->tree.blocks;
 }
 
 Result<std::array<uint64_t, 8>> LfsFileSystem::LiveBytesByKind() {

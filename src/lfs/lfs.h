@@ -229,19 +229,12 @@ class LfsFileSystem : public FileSystem {
  private:
   LfsFileSystem(BlockDevice* device, const LfsConfig& cfg, const Superblock& sb);
 
-  // In-memory index state of one file: the inode plus a flat fbn->address
-  // array materialized from the direct/indirect pointers. Indirect block
-  // addresses are tracked so the cleaner can liveness-check them; dirty
-  // indices are re-serialized to the log when the inode is flushed.
+  // In-memory state of one file: the inode plus its block tree. The tree's
+  // pointer-block addresses let the cleaner liveness-check them; its dirty
+  // pointer blocks are appended to the log when the inode is flushed.
   struct FileMap {
     Inode inode;
-    std::vector<BlockNo> blocks;     // fbn -> disk address (kNilBlock = hole)
-    std::vector<BlockNo> ind_addrs;  // [i] = indirect block covering fbns
-                                     // [kNumDirect + i*ppb, +ppb); [0] is the
-                                     // inode's single-indirect pointer
-    BlockNo dind_addr = kNilBlock;   // double-indirect root
-    std::set<uint32_t> dirty_ind;
-    bool dind_dirty = false;
+    BlockTree tree;
     bool inode_dirty = false;
   };
 
@@ -296,7 +289,11 @@ class LfsFileSystem : public FileSystem {
   // --- I/O core (lfs_io.cpp) ---
 
   Result<FileMap*> GetFileMap(InodeNum ino);
-  Result<FileMap> LoadFileMap(const Inode& inode) const;  // materialize pointers
+  // A new file's map: inode `ino` of `type` with one link and no blocks,
+  // dirty, stamped with the current version and time.
+  FileMap NewFileMap(InodeNum ino, FileType type);
+  // `inode`'s block tree, its pointer blocks read through the log.
+  Result<BlockTree> LoadTree(const Inode& inode) const;
   Result<Inode> ReadInodeFromDisk(InodeNum ino) const;
   // cfg_.verify_read_crcs support: walks the summary chain of addr's segment
   // and checks the payload CRC of every partial covering [addr, addr+count),
@@ -310,9 +307,12 @@ class LfsFileSystem : public FileSystem {
   Status ReadLogRun(BlockNo addr, uint64_t count, std::span<uint8_t> out) const;
   void StoreDirtyBlock(InodeNum ino, uint64_t fbn, std::vector<uint8_t> data);
   Status ReadFileBlock(FileMap* fm, InodeNum ino, uint64_t fbn, std::span<uint8_t> out);
-  void MarkIndirectDirty(FileMap* fm, uint64_t fbn);
-  Status GrowFileMap(FileMap* fm, uint64_t new_block_count);
-  Status ShrinkFileMap(InodeNum ino, FileMap* fm, uint64_t new_block_count);
+  // Cuts the file to `new_block_count` blocks, dropping their staged
+  // copies and debiting the log copies of every block it drops.
+  void ShrinkFileMap(InodeNum ino, FileMap* fm, uint64_t new_block_count);
+  // Takes one block's bytes off the live count of the segment holding it
+  // (nothing for kNilBlock or an address outside the segments).
+  void DebitLogBlock(BlockNo addr);
   Status FlushDirtyData();           // MaybeClean + FlushDirtyDataInner
   // The flush body: dirlog records, data blocks, indirect blocks, inodes —
   // in that order, with no cleaning trigger. The cleaner calls this directly

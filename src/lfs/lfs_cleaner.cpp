@@ -146,13 +146,13 @@ Result<uint32_t> LfsFileSystem::LiveBytes(const SummaryEntry& entry, BlockNo add
         return 0u;
       }
       LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(entry.ino));
-      if (entry.kind == BlockKind::kData) {
-        return entry.fbn < fm->blocks.size() && fm->blocks[entry.fbn] == addr ? bs : 0;
+      const BlockTree& tree = fm->tree;
+      if (entry.kind == BlockKind::kDoubleIndirect) {
+        return tree.dind_addr == addr ? bs : 0;
       }
-      if (entry.kind == BlockKind::kIndirect) {
-        return entry.fbn < fm->ind_addrs.size() && fm->ind_addrs[entry.fbn] == addr ? bs : 0;
-      }
-      return fm->dind_addr == addr ? bs : 0;
+      const std::vector<BlockNo>& addrs =
+          entry.kind == BlockKind::kData ? tree.blocks : tree.ind_addrs;
+      return entry.fbn < addrs.size() && addrs[entry.fbn] == addr ? bs : 0;
     }
     case BlockKind::kInodeBlock: {
       uint32_t live = 0;
@@ -189,8 +189,9 @@ Status LfsFileSystem::MigrateLiveBlock(const SummaryEntry& entry, BlockNo addr,
       uint32_t cold_hint = 2 + usage_.Get(src_seg).log_id;
       LFS_ASSIGN_OR_RETURN(BlockNo new_addr, writer_.Append(entry, std::move(content),
                                                             entry.mtime, bs, cold_hint));
-      fm->blocks[entry.fbn] = new_addr;
-      MarkIndirectDirty(fm, entry.fbn);
+      fm->tree.blocks[entry.fbn] = new_addr;
+      fm->tree.MarkDirty(entry.fbn);
+      fm->inode_dirty = true;
       MarkInodeDirty(entry.ino);
       if (drain_src != kNilSeg) {
         // Partial compaction: the victim stays kDirty, so debit the moved
@@ -203,19 +204,14 @@ Status LfsFileSystem::MigrateLiveBlock(const SummaryEntry& entry, BlockNo addr,
     // deferred FlushFileMetadata path, which debits their OLD addresses as it
     // appends the fresh copies — so a partial-compaction drain needs no extra
     // accounting for these kinds; drain_src is intentionally unused.
-    case BlockKind::kIndirect: {
-      LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(entry.ino));
-      fm->dirty_ind.insert(static_cast<uint32_t>(entry.fbn));
-      if (entry.fbn >= 1) {
-        fm->dind_dirty = true;
-      }
-      fm->inode_dirty = true;
-      MarkInodeDirty(entry.ino);
-      return OkStatus();
-    }
+    case BlockKind::kIndirect:
     case BlockKind::kDoubleIndirect: {
       LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(entry.ino));
-      fm->dind_dirty = true;
+      if (entry.kind == BlockKind::kIndirect) {
+        fm->tree.RewriteIndirect(entry.fbn);
+      } else {
+        fm->tree.dind_dirty = true;
+      }
       fm->inode_dirty = true;
       MarkInodeDirty(entry.ino);
       return OkStatus();

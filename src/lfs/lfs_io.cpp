@@ -16,7 +16,6 @@
 #include <string>
 
 #include "src/lfs/lfs.h"
-#include "src/util/codec.h"
 
 namespace lfs {
 
@@ -225,126 +224,42 @@ Result<LfsFileSystem::FileMap*> LfsFileSystem::GetFileMap(InodeNum ino) {
     }
   }
   LFS_ASSIGN_OR_RETURN(Inode inode, ReadInodeFromDisk(ino));
-  LFS_ASSIGN_OR_RETURN(FileMap fm, LoadFileMap(inode));
+  LFS_ASSIGN_OR_RETURN(BlockTree tree, LoadTree(inode));
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto [pos, inserted] = shard.files.emplace(ino, std::move(fm));
+  auto [pos, inserted] = shard.files.emplace(ino, FileMap{inode, std::move(tree)});
   (void)inserted;
   return &pos->second;
 }
 
-Result<LfsFileSystem::FileMap> LfsFileSystem::LoadFileMap(const Inode& inode) const {
-  if (inode.size > sb_.max_file_bytes()) {
-    return CorruptionError("inode " + std::to_string(inode.ino) + " size " +
-                           std::to_string(inode.size) + " exceeds what its block tree addresses");
-  }
-  FileMap fm;
-  fm.inode = inode;
-  uint64_t nblocks = BlockCountFor(inode.size);
-  fm.blocks.assign(nblocks, kNilBlock);
-  for (uint64_t i = 0; i < std::min<uint64_t>(kNumDirect, nblocks); i++) {
-    fm.blocks[i] = inode.direct[i];
-  }
-  if (nblocks > kNumDirect) {
-    const uint32_t ppb = sb_.pointers_per_block();
-    uint64_t ind_count = (nblocks - kNumDirect + ppb - 1) / ppb;
-    fm.ind_addrs.assign(ind_count, kNilBlock);
-    fm.ind_addrs[0] = inode.single_indirect;
-    std::vector<uint8_t> block(sb_.block_size);
-    if (ind_count > 1) {
-      fm.dind_addr = inode.double_indirect;
-      if (fm.dind_addr != kNilBlock) {
-        LFS_RETURN_IF_ERROR(ReadLogRun(fm.dind_addr, 1, block));
-        Decoder dec(block);
-        for (uint64_t j = 1; j < ind_count; j++) {
-          fm.ind_addrs[j] = dec.GetU64();
-        }
-      }
-    }
-    for (uint64_t i = 0; i < ind_count; i++) {
-      if (fm.ind_addrs[i] == kNilBlock) {
-        continue;  // a hole spanning a whole indirect range
-      }
-      LFS_RETURN_IF_ERROR(ReadLogRun(fm.ind_addrs[i], 1, block));
-      Decoder dec(block);
-      for (uint32_t j = 0; j < ppb; j++) {
-        uint64_t fbn = kNumDirect + i * ppb + j;
-        BlockNo addr = dec.GetU64();
-        if (fbn < nblocks) {
-          fm.blocks[fbn] = addr;
-        }
-      }
-    }
-  }
+LfsFileSystem::FileMap LfsFileSystem::NewFileMap(InodeNum ino, FileType type) {
+  FileMap fm{Inode{}, BlockTree(sb_.block_size), /*inode_dirty=*/true};
+  fm.inode.ino = ino;
+  fm.inode.type = type;
+  fm.inode.nlink = 1;
+  fm.inode.version = imap_.Get(ino).version;
+  fm.inode.mtime = clock_.Tick();
   return fm;
 }
 
-void LfsFileSystem::MarkIndirectDirty(FileMap* fm, uint64_t fbn) {
-  if (fbn < kNumDirect) {
-    fm->inode_dirty = true;  // direct pointers live in the inode itself
-    return;
-  }
-  uint32_t ind = static_cast<uint32_t>((fbn - kNumDirect) / sb_.pointers_per_block());
-  fm->dirty_ind.insert(ind);
-  if (ind >= 1) {
-    fm->dind_dirty = true;  // the double-indirect root must name the new copy
-  }
-  fm->inode_dirty = true;
+Result<BlockTree> LfsFileSystem::LoadTree(const Inode& inode) const {
+  return BlockTree::Load(sb_.block_size, inode.size, inode.direct, inode.single_indirect,
+                         inode.double_indirect, [this](BlockNo addr, std::span<uint8_t> out) {
+                           return ReadLogRun(addr, 1, out);
+                         });
 }
 
-Status LfsFileSystem::GrowFileMap(FileMap* fm, uint64_t new_block_count) {
-  if (new_block_count <= fm->blocks.size()) {
-    return OkStatus();
+void LfsFileSystem::DebitLogBlock(BlockNo addr) {
+  if (SegNo seg = sb_.SegOf(addr); seg != kNilSeg) {
+    usage_.SubLive(seg, sb_.block_size);
   }
-  fm->blocks.resize(new_block_count, kNilBlock);
-  if (new_block_count > kNumDirect) {
-    const uint32_t ppb = sb_.pointers_per_block();
-    uint64_t ind_count = (new_block_count - kNumDirect + ppb - 1) / ppb;
-    if (ind_count > fm->ind_addrs.size()) {
-      fm->ind_addrs.resize(ind_count, kNilBlock);
-    }
-  }
-  return OkStatus();
 }
 
-Status LfsFileSystem::ShrinkFileMap(InodeNum ino, FileMap* fm, uint64_t new_block_count) {
-  const uint32_t bs = sb_.block_size;
-  for (uint64_t fbn = new_block_count; fbn < fm->blocks.size(); fbn++) {
-    BlockNo addr = fm->blocks[fbn];
-    SegNo seg = sb_.SegOf(addr);
-    if (addr != kNilBlock && seg != kNilSeg) {
-      usage_.SubLive(seg, bs);
-    }
+void LfsFileSystem::ShrinkFileMap(InodeNum ino, FileMap* fm, uint64_t new_block_count) {
+  for (uint64_t fbn = new_block_count; fbn < fm->tree.blocks.size(); fbn++) {
     EraseDirtyBlock(ino, fbn);
   }
-  fm->blocks.resize(new_block_count);
-
-  const uint32_t ppb = sb_.pointers_per_block();
-  uint64_t new_ind =
-      new_block_count > kNumDirect ? (new_block_count - kNumDirect + ppb - 1) / ppb : 0;
-  for (uint64_t i = new_ind; i < fm->ind_addrs.size(); i++) {
-    BlockNo addr = fm->ind_addrs[i];
-    SegNo seg = sb_.SegOf(addr);
-    if (addr != kNilBlock && seg != kNilSeg) {
-      usage_.SubLive(seg, bs);
-    }
-    fm->dirty_ind.erase(static_cast<uint32_t>(i));
-  }
-  fm->ind_addrs.resize(new_ind, kNilBlock);
-  if (new_ind <= 1 && fm->dind_addr != kNilBlock) {
-    SegNo seg = sb_.SegOf(fm->dind_addr);
-    if (seg != kNilSeg) {
-      usage_.SubLive(seg, bs);
-    }
-    fm->dind_addr = kNilBlock;
-    fm->dind_dirty = false;
-  } else if (new_ind > 1) {
-    fm->dind_dirty = true;
-  }
-  if (new_ind > 0) {
-    fm->dirty_ind.insert(static_cast<uint32_t>(new_ind - 1));  // boundary re-serialize
-  }
+  fm->tree.Shrink(new_block_count, [this](BlockNo addr) { DebitLogBlock(addr); });
   fm->inode_dirty = true;
-  return OkStatus();
 }
 
 Status LfsFileSystem::ReadFileBlock(FileMap* fm, InodeNum ino, uint64_t fbn,
@@ -352,11 +267,12 @@ Status LfsFileSystem::ReadFileBlock(FileMap* fm, InodeNum ino, uint64_t fbn,
   if (CopyDirtyBlock(ino, fbn, out)) {
     return OkStatus();
   }
-  if (fbn >= fm->blocks.size() || fm->blocks[fbn] == kNilBlock) {
+  const std::vector<BlockNo>& blocks = fm->tree.blocks;
+  if (fbn >= blocks.size() || blocks[fbn] == kNilBlock) {
     std::memset(out.data(), 0, out.size());  // hole
     return OkStatus();
   }
-  return ReadLogRun(fm->blocks[fbn], 1, out);
+  return ReadLogRun(blocks[fbn], 1, out);
 }
 
 Status LfsFileSystem::EnsureSpaceForWrite(uint64_t new_blocks) {
@@ -433,7 +349,7 @@ Status LfsFileSystem::WriteAtSlice(InodeNum ino, uint64_t offset, std::span<cons
   }
   const uint32_t bs = sb_.block_size;
   const uint64_t end = offset + data.size();
-  uint64_t old_blocks = fm->blocks.size();
+  uint64_t old_blocks = fm->tree.blocks.size();
   uint64_t new_blocks_total = std::max(old_blocks, BlockCountFor(end));
   if (first) {
     LFS_RETURN_IF_ERROR(EnsureSpaceForWrite(new_blocks_total - old_blocks));
@@ -441,7 +357,7 @@ Status LfsFileSystem::WriteAtSlice(InodeNum ino, uint64_t offset, std::span<cons
   }
   // Every slice (re)grows the map: between slices a commit may have evicted
   // and reloaded it, or a truncate shrunk it.
-  LFS_RETURN_IF_ERROR(GrowFileMap(fm, new_blocks_total));
+  fm->tree.Grow(new_blocks_total);
   fm->inode_dirty = true;
   MarkInodeDirty(ino);
 
@@ -482,6 +398,7 @@ Result<uint64_t> LfsFileSystem::ReadAt(InodeNum ino, uint64_t offset, std::span<
   }
   const uint32_t bs = sb_.block_size;
   uint64_t want = std::min<uint64_t>(out.size(), fm->inode.size - offset);
+  const std::vector<BlockNo>& blocks = fm->tree.blocks;
 
   // Fast path for block-aligned bulk reads: coalesce runs of consecutively
   // placed blocks into single sequential device I/Os. Files written
@@ -494,13 +411,13 @@ Result<uint64_t> LfsFileSystem::ReadAt(InodeNum ino, uint64_t offset, std::span<
     uint32_t in_block = static_cast<uint32_t>(pos % bs);
     uint32_t chunk = static_cast<uint32_t>(std::min<uint64_t>(bs - in_block, want - done));
     bool plain_disk_block = in_block == 0 && chunk == bs && !HaveDirtyBlock(ino, fbn) &&
-                            fbn < fm->blocks.size() && fm->blocks[fbn] != kNilBlock;
+                            fbn < blocks.size() && blocks[fbn] != kNilBlock;
     if (plain_disk_block) {
       // Extend the run of contiguous disk blocks.
       uint64_t run = 1;
       while (done + run * bs + bs <= want) {
         uint64_t next_fbn = fbn + run;
-        if (next_fbn >= fm->blocks.size() || fm->blocks[next_fbn] != fm->blocks[fbn] + run ||
+        if (next_fbn >= blocks.size() || blocks[next_fbn] != blocks[fbn] + run ||
             HaveDirtyBlock(ino, next_fbn)) {
           break;
         }
@@ -509,7 +426,7 @@ Result<uint64_t> LfsFileSystem::ReadAt(InodeNum ino, uint64_t offset, std::span<
       // One coalesced fetch for the whole run; blocks still sitting in the
       // writer buffer or the read cache are served in place, so the device
       // sees only the uncached stretches (each as a single sequential read).
-      LFS_RETURN_IF_ERROR(ReadLogRun(fm->blocks[fbn], run, out.subspan(done, run * bs)));
+      LFS_RETURN_IF_ERROR(ReadLogRun(blocks[fbn], run, out.subspan(done, run * bs)));
       done += run * bs;
       continue;
     }
@@ -532,7 +449,7 @@ Status LfsFileSystem::TruncateLocked(InodeNum ino, uint64_t new_size) {
   }
   const uint32_t bs = sb_.block_size;
   if (new_size < fm->inode.size) {
-    LFS_RETURN_IF_ERROR(ShrinkFileMap(ino, fm, BlockCountFor(new_size)));
+    ShrinkFileMap(ino, fm, BlockCountFor(new_size));
     if (new_size % bs != 0) {
       // Zero the tail of the boundary block so later extensions read zeros.
       uint64_t fbn = new_size / bs;
@@ -557,7 +474,7 @@ Status LfsFileSystem::TruncateLocked(InodeNum ino, uint64_t new_size) {
                              std::to_string(sb_.max_file_bytes()) + " bytes)");
     }
     LFS_RETURN_IF_ERROR(EnsureSpaceForWrite(0));
-    LFS_RETURN_IF_ERROR(GrowFileMap(fm, BlockCountFor(new_size)));  // a hole
+    fm->tree.Grow(BlockCountFor(new_size));  // a hole
   }
   fm->inode.size = new_size;
   fm->inode.mtime = clock_.Tick();
@@ -616,61 +533,37 @@ Status LfsFileSystem::FlushDirLog() {
 
 Status LfsFileSystem::FlushFileMetadata() {
   const uint32_t bs = sb_.block_size;
-  const uint32_t ppb = sb_.pointers_per_block();
   const std::set<InodeNum> dirty = TakeDirtyInodes();
 
   // Pass 1: indirect blocks (and double-indirect roots), so the inodes
   // written in pass 2 carry final pointers.
   for (InodeNum ino : dirty) {
-    FileMap* fmp = FindFileMap(ino);
-    if (fmp == nullptr) {
+    FileMap* fm = FindFileMap(ino);
+    if (fm == nullptr) {
       continue;  // deleted before the flush
     }
-    FileMap& fm = *fmp;
-    for (uint32_t ind : fm.dirty_ind) {
-      std::vector<uint8_t> block;
-      block.reserve(bs);
-      Encoder enc(&block);
-      for (uint32_t j = 0; j < ppb; j++) {
-        uint64_t fbn = kNumDirect + uint64_t{ind} * ppb + j;
-        enc.PutU64(fbn < fm.blocks.size() ? fm.blocks[fbn] : kNilBlock);
-      }
-      SummaryEntry entry{BlockKind::kIndirect, ino, ind, fm.inode.version};
-      LFS_ASSIGN_OR_RETURN(BlockNo addr,
-                           writer_.Append(entry, std::move(block), fm.inode.mtime, bs));
-      BlockNo old = fm.ind_addrs[ind];
-      SegNo old_seg = sb_.SegOf(old);
-      if (old != kNilBlock && old_seg != kNilSeg) {
-        usage_.SubLive(old_seg, bs);
-      }
-      fm.ind_addrs[ind] = addr;
+    BlockTree& tree = fm->tree;
+    // Appends a fresh copy of a pointer block and debits the old one.
+    auto append = [&](BlockKind kind, uint64_t index, std::vector<uint8_t> block,
+                      BlockNo* addr) -> Status {
+      SummaryEntry entry{kind, ino, index, fm->inode.version};
+      LFS_ASSIGN_OR_RETURN(BlockNo fresh,
+                           writer_.Append(entry, std::move(block), fm->inode.mtime, bs));
+      DebitLogBlock(*addr);
+      *addr = fresh;
+      return OkStatus();
+    };
+    for (uint64_t ind : tree.dirty_ind) {
+      LFS_RETURN_IF_ERROR(
+          append(BlockKind::kIndirect, ind, tree.EncodeIndirect(ind), &tree.ind_addrs[ind]));
     }
-    fm.dirty_ind.clear();
-    if (fm.dind_dirty && fm.ind_addrs.size() > 1) {
-      std::vector<uint8_t> block;
-      block.reserve(bs);
-      Encoder enc(&block);
-      for (uint32_t j = 0; j < ppb; j++) {
-        uint64_t idx = uint64_t{j} + 1;
-        enc.PutU64(idx < fm.ind_addrs.size() ? fm.ind_addrs[idx] : kNilBlock);
-      }
-      SummaryEntry entry{BlockKind::kDoubleIndirect, ino, 0, fm.inode.version};
-      LFS_ASSIGN_OR_RETURN(BlockNo addr,
-                           writer_.Append(entry, std::move(block), fm.inode.mtime, bs));
-      BlockNo old = fm.dind_addr;
-      SegNo old_seg = sb_.SegOf(old);
-      if (old != kNilBlock && old_seg != kNilSeg) {
-        usage_.SubLive(old_seg, bs);
-      }
-      fm.dind_addr = addr;
+    tree.dirty_ind.clear();
+    if (tree.dind_dirty && tree.ind_addrs.size() > 1) {
+      LFS_RETURN_IF_ERROR(
+          append(BlockKind::kDoubleIndirect, 0, tree.EncodeRoot(), &tree.dind_addr));
     }
-    fm.dind_dirty = false;
-    // Final pointers into the inode.
-    for (uint32_t i = 0; i < kNumDirect; i++) {
-      fm.inode.direct[i] = i < fm.blocks.size() ? fm.blocks[i] : kNilBlock;
-    }
-    fm.inode.single_indirect = fm.ind_addrs.empty() ? kNilBlock : fm.ind_addrs[0];
-    fm.inode.double_indirect = fm.dind_addr;
+    tree.dind_dirty = false;
+    tree.StorePointers(fm->inode.direct, &fm->inode.single_indirect, &fm->inode.double_indirect);
   }
 
   // Pass 2: pack dirty inodes into inode blocks (several per block; Figure 1
@@ -735,13 +628,10 @@ Status LfsFileSystem::FlushDirtyDataInner() {
     SummaryEntry entry{BlockKind::kData, ino, fbn, fm->inode.version};
     LFS_ASSIGN_OR_RETURN(BlockNo addr,
                          writer_.Append(entry, std::move(data), fm->inode.mtime, bs));
-    BlockNo old = fbn < fm->blocks.size() ? fm->blocks[fbn] : kNilBlock;
-    SegNo old_seg = sb_.SegOf(old);
-    if (old != kNilBlock && old_seg != kNilSeg) {
-      usage_.SubLive(old_seg, bs);
-    }
-    fm->blocks[fbn] = addr;
-    MarkIndirectDirty(fm, fbn);
+    DebitLogBlock(fm->tree.blocks[fbn]);
+    fm->tree.blocks[fbn] = addr;
+    fm->tree.MarkDirty(fbn);
+    fm->inode_dirty = true;
     MarkInodeDirty(ino);
     flushed++;
   }
@@ -777,7 +667,7 @@ void LfsFileSystem::TrimFileCache() {
       continue;
     }
     const FileMap& fm = it->second;
-    bool clean = !fm.inode_dirty && fm.dirty_ind.empty() && !fm.dind_dirty &&
+    bool clean = !fm.inode_dirty && fm.tree.dirty_ind.empty() && !fm.tree.dind_dirty &&
                  dirty_inodes_.count(ino) == 0 && ino != kRootInode &&
                  shard.dirs.find(ino) == shard.dirs.end();
     if (clean) {

@@ -93,7 +93,7 @@ Result<std::pair<InodeNum, std::string>> LfsFileSystem::ResolveParent(std::strin
 Status LfsFileSystem::WriteDirBlock(InodeNum dir_ino, const Directory& dir, uint64_t fbn) {
   StoreDirtyBlock(dir_ino, fbn, std::vector<uint8_t>(dir.block(fbn).begin(), dir.block(fbn).end()));
   LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(dir_ino));
-  LFS_RETURN_IF_ERROR(GrowFileMap(fm, dir.block_count()));
+  fm->tree.Grow(dir.block_count());
   fm->inode.size = std::max(fm->inode.size, dir.block_count() * sb_.block_size);
   fm->inode.mtime = clock_.Tick();
   fm->inode_dirty = true;
@@ -140,17 +140,11 @@ Result<InodeNum> LfsFileSystem::CreateLocked(InodeNum dir_ino, const std::string
   LFS_RETURN_IF_ERROR(EnsureSpaceForWrite(1));
   LFS_ASSIGN_OR_RETURN(InodeNum ino, imap_.Allocate());
 
-  FileMap fm;
-  fm.inode.ino = ino;
-  fm.inode.type = FileType::kRegular;
-  fm.inode.nlink = 1;
-  fm.inode.version = imap_.Get(ino).version;
-  fm.inode.mtime = clock_.Tick();
-  fm.inode_dirty = true;
+  FileMap fm = NewFileMap(ino, FileType::kRegular);
   {
     InodeTableShard& shard = TableShard(ino);
     std::lock_guard<std::mutex> lock(shard.mu);
-    shard.files[ino] = std::move(fm);
+    shard.files.insert_or_assign(ino, std::move(fm));
   }
   MarkInodeDirty(ino);
 
@@ -189,17 +183,11 @@ Status LfsFileSystem::MkdirLocked(InodeNum dir_ino, const std::string& name,
   LFS_RETURN_IF_ERROR(EnsureSpaceForWrite(1));
   LFS_ASSIGN_OR_RETURN(InodeNum ino, imap_.Allocate());
 
-  FileMap fm;
-  fm.inode.ino = ino;
-  fm.inode.type = FileType::kDirectory;
-  fm.inode.nlink = 1;
-  fm.inode.version = imap_.Get(ino).version;
-  fm.inode.mtime = clock_.Tick();
-  fm.inode_dirty = true;
+  FileMap fm = NewFileMap(ino, FileType::kDirectory);
   {
     InodeTableShard& shard = TableShard(ino);
     std::lock_guard<std::mutex> lock(shard.mu);
-    shard.files[ino] = std::move(fm);
+    shard.files.insert_or_assign(ino, std::move(fm));
     shard.dirs.insert_or_assign(ino, Directory(sb_.block_size));
   }
   MarkInodeDirty(ino);
@@ -231,7 +219,7 @@ Status LfsFileSystem::Mkdir(std::string_view path) {
 
 Status LfsFileSystem::DeleteFileContents(InodeNum ino) {
   LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(ino));
-  LFS_RETURN_IF_ERROR(ShrinkFileMap(ino, fm, 0));  // frees data + indirect blocks
+  ShrinkFileMap(ino, fm, 0);  // frees data + indirect blocks
   ImapEntry old = imap_.Get(ino);
   SegNo old_seg = sb_.SegOf(old.inode_block);
   if (old.allocated() && old_seg != kNilSeg) {

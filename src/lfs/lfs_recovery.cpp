@@ -258,31 +258,29 @@ Status LfsFileSystem::RollForward(const Checkpoint& ck) {
     if (!old_inode_r.ok() || old_inode_r->ino != ino) {
       continue;
     }
-    LFS_ASSIGN_OR_RETURN(FileMap old_fm, LoadFileMap(*old_inode_r));
+    LFS_ASSIGN_OR_RETURN(BlockTree old_tree, LoadTree(*old_inode_r));
 
     ImapEntry now = imap_.Get(ino);
-    const FileMap* new_fm = nullptr;
+    const BlockTree* new_tree = nullptr;
     if (now.allocated() && now.version == old.version) {
-      LFS_ASSIGN_OR_RETURN(FileMap * fmp, GetFileMap(ino));
-      new_fm = fmp;
+      LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(ino));
+      new_tree = &fm->tree;
     }
-    auto sub_if_gone = [&](BlockNo old_addr, bool still_there) {
-      SegNo s = sb_.SegOf(old_addr);
-      if (old_addr != kNilBlock && s != kNilSeg && !still_there) {
-        usage_.SubLive(s, bs);
+    // Debits each old address the recovered tree no longer holds at the
+    // same position.
+    auto debit_gone = [&](const std::vector<BlockNo>& old_addrs,
+                          const std::vector<BlockNo>* new_addrs) {
+      for (uint64_t i = 0; i < old_addrs.size(); i++) {
+        if (new_addrs == nullptr || i >= new_addrs->size() || (*new_addrs)[i] != old_addrs[i]) {
+          DebitLogBlock(old_addrs[i]);
+        }
       }
     };
-    for (uint64_t fbn = 0; fbn < old_fm.blocks.size(); fbn++) {
-      bool kept = new_fm != nullptr && fbn < new_fm->blocks.size() &&
-                  new_fm->blocks[fbn] == old_fm.blocks[fbn];
-      sub_if_gone(old_fm.blocks[fbn], kept);
+    debit_gone(old_tree.blocks, new_tree != nullptr ? &new_tree->blocks : nullptr);
+    debit_gone(old_tree.ind_addrs, new_tree != nullptr ? &new_tree->ind_addrs : nullptr);
+    if (new_tree == nullptr || new_tree->dind_addr != old_tree.dind_addr) {
+      DebitLogBlock(old_tree.dind_addr);
     }
-    for (uint64_t i = 0; i < old_fm.ind_addrs.size(); i++) {
-      bool kept = new_fm != nullptr && i < new_fm->ind_addrs.size() &&
-                  new_fm->ind_addrs[i] == old_fm.ind_addrs[i];
-      sub_if_gone(old_fm.ind_addrs[i], kept);
-    }
-    sub_if_gone(old_fm.dind_addr, new_fm != nullptr && new_fm->dind_addr == old_fm.dind_addr);
   }
 
   // --- 4. directory operation log: restore entry/link-count consistency ----------

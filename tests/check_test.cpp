@@ -118,6 +118,28 @@ TEST_F(CheckTest, RepeatedCheckpointsConvergeToZeroWarnings) {
   EXPECT_EQ(report.warnings, 0u) << report.Summary();
 }
 
+TEST_F(CheckTest, DirectoryPastTheSingleIndirectBlockIsWalkedWhole) {
+  // 4,001 entries fill more 512-byte directory blocks than the direct
+  // pointers and the single-indirect block name (12 + 64): counting every
+  // link means following the double-indirect root.
+  fs_.reset();
+  cfg_.block_size = 512;
+  disk_ = std::make_unique<MemDisk>(cfg_.block_size, 16384);
+  ASSERT_OK_AND_ASSIGN(fs_, LfsFileSystem::Mkfs(disk_.get(), cfg_));
+  ASSERT_OK(fs_->WriteFile("/f", TestContent(1, 100)));
+  for (int i = 0; i < 4000; i++) {
+    ASSERT_OK(fs_->Link("/f", "/l" + std::to_string(i)));
+  }
+  ASSERT_OK(fs_->Unmount());
+  fs_.reset();
+  ASSERT_OK_AND_ASSIGN(CheckReport report, CheckLfsImage(disk_.get()));
+  EXPECT_EQ(report.errors, 0u) << report.Summary();
+  EXPECT_EQ(report.warnings, 0u) << report.Summary();
+  for (const std::string& m : report.messages) {
+    ADD_FAILURE() << m;
+  }
+}
+
 TEST_F(CheckTest, ToJsonIsParseableAndCarriesFindings) {
   ChurnAndUnmount();
   // Clean image first: valid JSON, ok=true, inventory matches the report.

@@ -187,6 +187,46 @@ TEST_F(FfsTest, FsckFixesWrongLinkCountsAndOrphans) {
   EXPECT_EQ(data, TestContent(20, 3000));
 }
 
+TEST_F(FfsTest, DirectoryBlocksPastTheDirectPointersSurviveRemount) {
+  // 1,501 entries fill more 1-KB directory blocks than the 12 direct
+  // pointers name, so the indirect block naming the later ones must reach
+  // the disk with them.
+  ASSERT_OK(fs_->Mkdir("/d"));
+  ASSERT_OK(fs_->WriteFile("/d/f", TestContent(1, 100)));
+  for (int i = 0; i < 1500; i++) {
+    ASSERT_OK(fs_->Link("/d/f", "/d/l" + std::to_string(i)));
+  }
+  ASSERT_OK(fs_->Unmount());
+  fs_.reset();
+  ASSERT_OK_AND_ASSIGN(fs_, FfsFileSystem::Mount(disk_.get()));
+  ASSERT_OK_AND_ASSIGN(std::vector<DirEntry> entries, fs_->ReadDir("/d"));
+  EXPECT_EQ(entries.size(), 1501u);
+  ASSERT_OK_AND_ASSIGN(FileStat st, fs_->StatPath("/d/l1499"));
+  EXPECT_EQ(st.nlink, 1501u);
+}
+
+TEST(FfsCapacityTest, WritePastTheBlockTreeIsOutOfRange) {
+  // With 512-byte blocks the tree addresses 12 + 64 + 64 * 64 blocks. A
+  // byte 5 KB past that has no slot in the double-indirect root.
+  auto disk = std::make_unique<MemDisk>(512, 8192);
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<FfsFileSystem> fs, FfsFileSystem::Mkfs(disk.get(), 512));
+  ASSERT_OK_AND_ASSIGN(InodeNum ino, fs->Create("/f"));
+  const uint64_t capacity = BlockTree::MaxBlocks(512) * 512;
+  const uint8_t byte = 0x5A;
+  EXPECT_EQ(fs->WriteAt(ino, capacity + 5 * 1024, {&byte, 1}).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(fs->Truncate(ino, capacity + 1).code(), StatusCode::kOutOfRange);
+  ASSERT_OK(fs->WriteAt(ino, capacity - 1, {&byte, 1}));  // the last byte it addresses
+  ASSERT_OK(fs->Unmount());
+  fs.reset();
+  ASSERT_OK_AND_ASSIGN(fs, FfsFileSystem::Mount(disk.get()));
+  ASSERT_OK_AND_ASSIGN(FileStat st, fs->Stat(ino));
+  EXPECT_EQ(st.size, capacity);
+  uint8_t back = 0;
+  ASSERT_OK_AND_ASSIGN(uint64_t n, fs->ReadAt(ino, capacity - 1, {&back, 1}));
+  EXPECT_EQ(n, 1u);
+  EXPECT_EQ(back, byte);
+}
+
 TEST_F(FfsTest, DirectoriesSpreadAcrossGroups) {
   ASSERT_OK(fs_->Mkdir("/d1"));
   ASSERT_OK(fs_->Mkdir("/d2"));
