@@ -42,7 +42,7 @@ class Checker {
   Status LoadCheckpoint();
   Status LoadTables();
   Status CheckInodesAndFiles();
-  Status CheckDirectoryTree();
+  void CheckDirectoryTree();
   Status CheckSegmentChains();
   void CheckUsageTable();
 
@@ -324,14 +324,14 @@ Status Checker::CheckInodesAndFiles() {
   return OkStatus();
 }
 
-Status Checker::CheckDirectoryTree() {
+void Checker::CheckDirectoryTree() {
   // Breadth-first walk from the root; count references per inode.
   std::vector<uint32_t> refs(imap_.size(), 0);
   std::set<InodeNum> visited;
   std::vector<InodeNum> queue = {kRootInode};
   if (imap_.size() <= kRootInode || !imap_[kRootInode].allocated()) {
     Error("dirtree.root_missing", "root inode is not allocated");
-    return OkStatus();
+    return;
   }
   refs[kRootInode]++;  // the root references itself
   while (!queue.empty()) {
@@ -356,7 +356,11 @@ Status Checker::CheckDirectoryTree() {
         continue;
       }
       std::vector<uint8_t> block;
-      LFS_RETURN_IF_ERROR(ReadBlock(addr, &block));
+      if (Status st = ReadBlock(addr, &block); !st.ok()) {
+        Error("dirtree.block_unreadable", "directory " + std::to_string(dir) + " block " +
+              std::to_string(fbn) + " unreadable (" + st.ToString() + ")");
+        continue;
+      }
       Result<size_t> decoded = Directory::DecodeBlock(
           block, [&](std::string_view name, InodeNum ino, FileType type) {
             if (ino >= imap_.size() || !imap_[ino].allocated()) {
@@ -398,7 +402,6 @@ Status Checker::CheckDirectoryTree() {
             " != directory references " + std::to_string(refs[ino]));
     }
   }
-  return OkStatus();
 }
 
 Status Checker::CheckSegmentChains() {
@@ -491,7 +494,7 @@ Result<CheckReport> Checker::Run() {
   LFS_RETURN_IF_ERROR(LoadCheckpoint());
   LFS_RETURN_IF_ERROR(LoadTables());
   LFS_RETURN_IF_ERROR(CheckInodesAndFiles());
-  LFS_RETURN_IF_ERROR(CheckDirectoryTree());
+  CheckDirectoryTree();
   LFS_RETURN_IF_ERROR(CheckSegmentChains());
   CheckUsageTable();
   return report_;

@@ -27,10 +27,9 @@ LfsFileSystem::LfsFileSystem(BlockDevice* device, const LfsConfig& cfg, const Su
       // log blocks before further mutators wait for its commit.
       txn_(4 * uint64_t{cfg.write_buffer_blocks}),
       ilocks_(cfg.inode_shards) {
-  // The in-memory tables shard like the inode lock stripes.
+  // The inode table shards like the inode lock stripes.
   shard_mask_ = ilocks_.nstripes() - 1;
   itable_ = std::vector<InodeTableShard>(ilocks_.nstripes());
-  dirty_shards_ = std::vector<DirtyShard>(ilocks_.nstripes());
   if (cfg_.read_cache_blocks > 0) {
     read_cache_ = std::make_unique<cache::BlockCache>(
         cache::BlockCacheConfig{.capacity_blocks = cfg_.read_cache_blocks,
@@ -138,10 +137,7 @@ Result<std::unique_ptr<LfsFileSystem>> LfsFileSystem::Mkfs(BlockDevice* device,
   if (root != kRootInode) {
     return InternalError("mkfs: root inode did not get number 1");
   }
-  InodeTableShard& root_shard = fs->TableShard(kRootInode);
-  root_shard.files.insert_or_assign(kRootInode, fs->NewFileMap(kRootInode, FileType::kDirectory));
-  root_shard.dirs.insert_or_assign(kRootInode, Directory(fs->sb_.block_size));
-  fs->MarkInodeDirty(kRootInode);
+  fs->NewFileMap(kRootInode, FileType::kDirectory);
 
   // Every usage chunk must exist on disk so the checkpoint region is fully
   // populated from the start.

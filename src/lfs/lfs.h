@@ -113,7 +113,7 @@ class LfsFileSystem : public FileSystem {
   // acquire all involved stripes in ascending stripe order (InodeLockSet)
   // so overlapping ops cannot deadlock. Mutators additionally join the open
   // group-commit transaction (txn_, xv6-style BeginOp/EndOp): they reserve
-  // worst-case log space, stage dirty blocks into sharded write buffers,
+  // worst-case log space, stage dirty blocks in their inodes' FileMaps,
   // and the last op out of a transaction whose buffer crossed the flush
   // threshold becomes the committer — CommitBatch() takes fs_mu_ exclusive
   // and flushes the whole batch while the next transaction opens. A lone
@@ -121,13 +121,16 @@ class LfsFileSystem : public FileSystem {
   // count reaches the write-buffer size. Readers poll
   // txn_.WaitNotCommitting() before locking so a committer is never
   // starved. Shared in-memory state is sharded or internally synchronized:
-  // the inode table (loaded FileMaps and Directories) and the dirty-block buffer
-  // are sharded by inode, the inode map and segment-usage table carry
-  // internal locks, and counters are relaxed atomics. Lock order:
+  // each inode's one in-memory record (FileMap: inode, block tree, staged
+  // blocks, loaded directory) lives in an inode-table shard, the inode map
+  // and segment-usage table carry internal locks, and counters are relaxed
+  // atomics. A FileMap's inode, tree and staged blocks are guarded by its
+  // inode's stripe; the shard mutex guards the shard's map and each
+  // FileMap's `dir` pointer. Lock order:
   //
   //   txn_ gate (never waited on while holding any lock below)
   //   cleaner_mu_ (never held while acquiring fs_mu_)
-  //   fs_mu_  ->  inode stripes (ascending) ->  itable/dirty shard mu |
+  //   fs_mu_  ->  inode stripes (ascending) ->  itable shard mu |
   //               dirty_inodes_mu_ | dirlog_mu_ | read_cache_'s BlockCache shard mu |
   //               InodeMap::mu_ | SegUsage::mu_ | SegmentWriter log mu
   //           ->  device mutexes (SimDisk / MemDisk / BlockCache shards)
@@ -229,13 +232,19 @@ class LfsFileSystem : public FileSystem {
  private:
   LfsFileSystem(BlockDevice* device, const LfsConfig& cfg, const Superblock& sb);
 
-  // In-memory state of one file: the inode plus its block tree. The tree's
-  // pointer-block addresses let the cleaner liveness-check them; its dirty
-  // pointer blocks are appended to the log when the inode is flushed.
+  // The one in-memory record of an inode: the inode, its block tree, its
+  // staged blocks (the write buffer) and, for a directory, its Directory
+  // once loaded. The tree's pointer-block addresses let the cleaner
+  // liveness-check them; its dirty pointer blocks are appended to the log
+  // when the inode is flushed. A FileMap with staged blocks is always in
+  // dirty_inodes_ (StageBlock puts it there).
   struct FileMap {
+    FileMap(const Inode& i, BlockTree t) : inode(i), tree(std::move(t)) {}
+
     Inode inode;
     BlockTree tree;
-    bool inode_dirty = false;
+    std::map<uint64_t, std::vector<uint8_t>> staged;  // fbn -> block to append
+    std::unique_ptr<Directory> dir;                   // guarded by the shard mutex
   };
 
   // One partial-segment write parsed back from the log.
@@ -289,9 +298,10 @@ class LfsFileSystem : public FileSystem {
   // --- I/O core (lfs_io.cpp) ---
 
   Result<FileMap*> GetFileMap(InodeNum ino);
-  // A new file's map: inode `ino` of `type` with one link and no blocks,
-  // dirty, stamped with the current version and time.
-  FileMap NewFileMap(InodeNum ino, FileType type);
+  // Puts a new file's map in the inode table and marks it dirty: inode `ino`
+  // of `type` with one link and no blocks, stamped with the current version
+  // and time; a directory gets its empty Directory.
+  void NewFileMap(InodeNum ino, FileType type);
   // `inode`'s block tree, its pointer blocks read through the log.
   Result<BlockTree> LoadTree(const Inode& inode) const;
   Result<Inode> ReadInodeFromDisk(InodeNum ino) const;
@@ -305,11 +315,15 @@ class LfsFileSystem : public FileSystem {
   // uncached stretches with single run-granular device reads that also
   // populate read_cache_.
   Status ReadLogRun(BlockNo addr, uint64_t count, std::span<uint8_t> out) const;
-  void StoreDirtyBlock(InodeNum ino, uint64_t fbn, std::vector<uint8_t> data);
-  Status ReadFileBlock(FileMap* fm, InodeNum ino, uint64_t fbn, std::span<uint8_t> out);
+  // Stages `block` as block `fbn` of inode `ino` (map `fm`), replacing any
+  // staged copy, and marks the inode dirty. Caller holds the inode's stripe
+  // exclusive.
+  void StageBlock(InodeNum ino, FileMap* fm, uint64_t fbn, std::vector<uint8_t> block);
+  // Block `fbn` of the file: its staged copy, else its log copy, else zeros.
+  Status ReadFileBlock(const FileMap* fm, uint64_t fbn, std::span<uint8_t> out) const;
   // Cuts the file to `new_block_count` blocks, dropping their staged
   // copies and debiting the log copies of every block it drops.
-  void ShrinkFileMap(InodeNum ino, FileMap* fm, uint64_t new_block_count);
+  void ShrinkFileMap(FileMap* fm, uint64_t new_block_count);
   // Takes one block's bytes off the live count of the segment holding it
   // (nothing for kNilBlock or an address outside the segments).
   void DebitLogBlock(BlockNo addr);
@@ -392,42 +406,25 @@ class LfsFileSystem : public FileSystem {
   // Truncate body; caller holds the inode's stripe exclusive.
   Status TruncateLocked(InodeNum ino, uint64_t new_size);
 
-  // --- sharded in-memory tables ---
+  // --- the inode table ---
 
-  // Shard of the in-memory inode tables (loaded FileMaps + parsed
-  // directories). std::map nodes are stable, so handed-out pointers survive
-  // unrelated inserts/erases in the same shard; erasure of an inode's own
-  // state only happens under its stripe lock (or fs_mu_ exclusive).
+  // Shard of the in-memory inode table. std::map nodes are stable, so
+  // handed-out pointers survive unrelated inserts/erases in the same shard;
+  // erasure of an inode's own record only happens under its stripe lock (or
+  // fs_mu_ exclusive).
   struct InodeTableShard {
     mutable std::mutex mu;
     std::map<InodeNum, FileMap> files;
-    std::map<InodeNum, Directory> dirs;
-  };
-  // Shard of the write buffer: staged dirty data blocks keyed (ino, fbn).
-  struct DirtyShard {
-    mutable std::mutex mu;
-    std::map<std::pair<InodeNum, uint64_t>, std::vector<uint8_t>> blocks;
   };
 
-  uint32_t ShardOf(InodeNum ino) const { return static_cast<uint32_t>(ino) & shard_mask_; }
-  InodeTableShard& TableShard(InodeNum ino) { return itable_[ShardOf(ino)]; }
-  const InodeTableShard& TableShard(InodeNum ino) const { return itable_[ShardOf(ino)]; }
+  InodeTableShard& TableShard(InodeNum ino) {
+    return itable_[static_cast<uint32_t>(ino) & shard_mask_];
+  }
   // Loaded-FileMap lookup without loading (nullptr if absent).
   FileMap* FindFileMap(InodeNum ino);
-  void EraseInodeState(InodeNum ino);  // drops files+dirs entries for ino
+  void EraseInodeState(InodeNum ino);  // drops ino's FileMap
   void ClearInodeTables();             // unmount/recovery reset
-  size_t LoadedFileMapCount() const;
-  // Dirty write-buffer accessors (shard mutex inside; dirty_count_ tracks
-  // the total so hot paths never sum shards).
-  bool CopyDirtyBlock(InodeNum ino, uint64_t fbn, std::span<uint8_t> out) const;
-  bool HaveDirtyBlock(InodeNum ino, uint64_t fbn) const;
-  void EraseDirtyBlock(InodeNum ino, uint64_t fbn);
-  // Merges all shards into one (ino, fbn)-ordered batch and empties them,
-  // so the flush order does not depend on the shard count.
-  std::map<std::pair<InodeNum, uint64_t>, std::vector<uint8_t>> TakeDirtyBatch();
   void MarkInodeDirty(InodeNum ino);
-  // Snapshots-and-clears the dirty-inode set (flush path, fs_mu_ exclusive).
-  std::set<InodeNum> TakeDirtyInodes();
 
   // Closes out a mutation: drops the op and its `reserved` blocks from the
   // open transaction (EndOp), runs CommitBatch if this op drew the committer
@@ -454,8 +451,7 @@ class LfsFileSystem : public FileSystem {
   // inode stripes exclusive (ascending order), with the final path
   // components re-verified under those stripes.
   Result<InodeNum> CreateLocked(InodeNum dir_ino, const std::string& name,
-                                std::string_view path);
-  Status MkdirLocked(InodeNum dir_ino, const std::string& name, std::string_view path);
+                                std::string_view path, FileType type);
   Status UnlinkLocked(InodeNum dir_ino, const std::string& name, InodeNum ino,
                       std::string_view path);
   Status RmdirLocked(InodeNum dir_ino, const std::string& name, InodeNum ino,
@@ -582,11 +578,13 @@ class LfsFileSystem : public FileSystem {
   // Group-commit transaction gate + striped per-inode locks.
   GroupCommit txn_;
   InodeLockTable ilocks_;
-  uint32_t shard_mask_ = 0;  // itable_/dirty_shards_ size - 1 (power of two)
-  std::vector<InodeTableShard> itable_;        // loaded file maps + directories
-  std::vector<DirtyShard> dirty_shards_;       // buffered dirty data blocks
-  Relaxed<uint64_t> dirty_count_{0};           // total staged blocks, all shards
-  std::set<InodeNum> dirty_inodes_;            // guarded by dirty_inodes_mu_
+  uint32_t shard_mask_ = 0;                    // itable_ size - 1 (power of two)
+  std::vector<InodeTableShard> itable_;        // one per inode stripe
+  Relaxed<uint64_t> dirty_count_{0};           // staged blocks, all FileMaps
+  // Every inode whose FileMap has changes to write, staged blocks included.
+  // Guarded by dirty_inodes_mu_; the flush and the file-map trim use it
+  // under fs_mu_ exclusive.
+  std::set<InodeNum> dirty_inodes_;
   mutable std::mutex dirty_inodes_mu_;
   std::vector<DirLogRecord> pending_dirlog_;   // guarded by dirlog_mu_
   std::mutex dirlog_mu_;

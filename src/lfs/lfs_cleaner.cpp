@@ -191,7 +191,6 @@ Status LfsFileSystem::MigrateLiveBlock(const SummaryEntry& entry, BlockNo addr,
                                                             entry.mtime, bs, cold_hint));
       fm->tree.blocks[entry.fbn] = new_addr;
       fm->tree.MarkDirty(entry.fbn);
-      fm->inode_dirty = true;
       MarkInodeDirty(entry.ino);
       if (drain_src != kNilSeg) {
         // Partial compaction: the victim stays kDirty, so debit the moved
@@ -212,14 +211,13 @@ Status LfsFileSystem::MigrateLiveBlock(const SummaryEntry& entry, BlockNo addr,
       } else {
         fm->tree.dind_dirty = true;
       }
-      fm->inode_dirty = true;
       MarkInodeDirty(entry.ino);
       return OkStatus();
     }
     case BlockKind::kInodeBlock:
+      // The flush writes only loaded maps, so load each live inode's.
       return ForEachLiveInode(addr, content, [&](const Inode& ino) -> Status {
-        LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(ino.ino));
-        fm->inode_dirty = true;
+        LFS_RETURN_IF_ERROR(GetFileMap(ino.ino).status());
         MarkInodeDirty(ino.ino);
         return OkStatus();
       });

@@ -13,7 +13,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <iterator>
 #include <string>
+#include <utility>
 
 #include "src/lfs/lfs.h"
 
@@ -102,7 +104,7 @@ Result<Inode> LfsFileSystem::ReadInodeFromDisk(InodeNum ino) const {
   return inode;
 }
 
-// --- sharded in-memory tables --------------------------------------------------
+// --- the inode table ------------------------------------------------------------
 
 LfsFileSystem::FileMap* LfsFileSystem::FindFileMap(InodeNum ino) {
   InodeTableShard& shard = TableShard(ino);
@@ -115,87 +117,13 @@ void LfsFileSystem::EraseInodeState(InodeNum ino) {
   InodeTableShard& shard = TableShard(ino);
   std::lock_guard<std::mutex> lock(shard.mu);
   shard.files.erase(ino);
-  shard.dirs.erase(ino);
 }
 
 void LfsFileSystem::ClearInodeTables() {
   for (InodeTableShard& shard : itable_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.files.clear();
-    shard.dirs.clear();
   }
-}
-
-size_t LfsFileSystem::LoadedFileMapCount() const {
-  size_t total = 0;
-  for (const InodeTableShard& shard : itable_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.files.size();
-  }
-  return total;
-}
-
-bool LfsFileSystem::HaveDirtyBlock(InodeNum ino, uint64_t fbn) const {
-  if (dirty_count_.load() == 0) {
-    return false;  // nothing staged anywhere
-  }
-  const DirtyShard& shard = dirty_shards_[ShardOf(ino)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.blocks.count({ino, fbn}) != 0;
-}
-
-bool LfsFileSystem::CopyDirtyBlock(InodeNum ino, uint64_t fbn, std::span<uint8_t> out) const {
-  if (dirty_count_.load() == 0) {
-    return false;
-  }
-  const DirtyShard& shard = dirty_shards_[ShardOf(ino)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.blocks.find({ino, fbn});
-  if (it == shard.blocks.end()) {
-    return false;
-  }
-  std::memcpy(out.data(), it->second.data(), out.size());
-  return true;
-}
-
-void LfsFileSystem::EraseDirtyBlock(InodeNum ino, uint64_t fbn) {
-  DirtyShard& shard = dirty_shards_[ShardOf(ino)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.blocks.erase({ino, fbn}) != 0) {
-    dirty_count_--;
-  }
-}
-
-void LfsFileSystem::StoreDirtyBlock(InodeNum ino, uint64_t fbn, std::vector<uint8_t> data) {
-  assert(data.size() == sb_.block_size);
-  DirtyShard& shard = dirty_shards_[ShardOf(ino)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.blocks.find({ino, fbn});
-  if (it == shard.blocks.end()) {
-    shard.blocks.emplace(std::make_pair(ino, fbn), std::move(data));
-    dirty_count_++;
-  } else {
-    it->second = std::move(data);
-  }
-}
-
-std::map<std::pair<InodeNum, uint64_t>, std::vector<uint8_t>>
-LfsFileSystem::TakeDirtyBatch() {
-  // Merging the per-shard maps into one std::map restores the exact global
-  // (ino, fbn) iteration order the unsharded buffer used to flush in, so the
-  // log layout (and the paper's temporal locality) is unchanged by sharding.
-  std::map<std::pair<InodeNum, uint64_t>, std::vector<uint8_t>> out;
-  for (DirtyShard& shard : dirty_shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (out.empty()) {
-      out = std::move(shard.blocks);
-    } else {
-      out.merge(shard.blocks);
-    }
-    shard.blocks.clear();
-  }
-  dirty_count_.store(0);
-  return out;
 }
 
 void LfsFileSystem::MarkInodeDirty(InodeNum ino) {
@@ -203,18 +131,26 @@ void LfsFileSystem::MarkInodeDirty(InodeNum ino) {
   dirty_inodes_.insert(ino);
 }
 
-std::set<InodeNum> LfsFileSystem::TakeDirtyInodes() {
-  std::lock_guard<std::mutex> lock(dirty_inodes_mu_);
-  std::set<InodeNum> out;
-  out.swap(dirty_inodes_);
-  return out;
+void LfsFileSystem::StageBlock(InodeNum ino, FileMap* fm, uint64_t fbn,
+                               std::vector<uint8_t> block) {
+  assert(block.size() == sb_.block_size);
+  // The flush finds staged blocks through dirty_inodes_. An inode leaves the
+  // set only once the flush has taken its staged blocks or its map is
+  // erased, so a map that already holds a staged block is in the set.
+  if (fm->staged.empty()) {
+    MarkInodeDirty(ino);
+  }
+  if (fm->staged.insert_or_assign(fbn, std::move(block)).second) {
+    dirty_count_++;
+  }
 }
 
 Result<LfsFileSystem::FileMap*> LfsFileSystem::GetFileMap(InodeNum ino) {
   // May run under the shared fs lock (ReadAt, Stat, lookups), so structural
   // access to the shard map is serialized by the shard mutex; std::map node
   // stability keeps the returned pointer valid after the mutex drops. Two
-  // shared holders may both load the map from disk; emplace keeps the first.
+  // shared holders may both load the map from disk; try_emplace keeps the
+  // first.
   InodeTableShard& shard = TableShard(ino);
   {
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -226,19 +162,25 @@ Result<LfsFileSystem::FileMap*> LfsFileSystem::GetFileMap(InodeNum ino) {
   LFS_ASSIGN_OR_RETURN(Inode inode, ReadInodeFromDisk(ino));
   LFS_ASSIGN_OR_RETURN(BlockTree tree, LoadTree(inode));
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto [pos, inserted] = shard.files.emplace(ino, FileMap{inode, std::move(tree)});
-  (void)inserted;
-  return &pos->second;
+  return &shard.files.try_emplace(ino, inode, std::move(tree)).first->second;
 }
 
-LfsFileSystem::FileMap LfsFileSystem::NewFileMap(InodeNum ino, FileType type) {
-  FileMap fm{Inode{}, BlockTree(sb_.block_size), /*inode_dirty=*/true};
+void LfsFileSystem::NewFileMap(InodeNum ino, FileType type) {
+  FileMap fm(Inode{}, BlockTree(sb_.block_size));
   fm.inode.ino = ino;
   fm.inode.type = type;
   fm.inode.nlink = 1;
   fm.inode.version = imap_.Get(ino).version;
   fm.inode.mtime = clock_.Tick();
-  return fm;
+  if (type == FileType::kDirectory) {
+    fm.dir = std::make_unique<Directory>(sb_.block_size);
+  }
+  {
+    InodeTableShard& shard = TableShard(ino);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    shard.files.insert_or_assign(ino, std::move(fm));
+  }
+  MarkInodeDirty(ino);
 }
 
 Result<BlockTree> LfsFileSystem::LoadTree(const Inode& inode) const {
@@ -254,17 +196,17 @@ void LfsFileSystem::DebitLogBlock(BlockNo addr) {
   }
 }
 
-void LfsFileSystem::ShrinkFileMap(InodeNum ino, FileMap* fm, uint64_t new_block_count) {
-  for (uint64_t fbn = new_block_count; fbn < fm->tree.blocks.size(); fbn++) {
-    EraseDirtyBlock(ino, fbn);
-  }
+void LfsFileSystem::ShrinkFileMap(FileMap* fm, uint64_t new_block_count) {
+  auto cut = fm->staged.lower_bound(new_block_count);
+  dirty_count_ -= static_cast<uint64_t>(std::distance(cut, fm->staged.end()));
+  fm->staged.erase(cut, fm->staged.end());
   fm->tree.Shrink(new_block_count, [this](BlockNo addr) { DebitLogBlock(addr); });
-  fm->inode_dirty = true;
 }
 
-Status LfsFileSystem::ReadFileBlock(FileMap* fm, InodeNum ino, uint64_t fbn,
-                                    std::span<uint8_t> out) {
-  if (CopyDirtyBlock(ino, fbn, out)) {
+Status LfsFileSystem::ReadFileBlock(const FileMap* fm, uint64_t fbn,
+                                    std::span<uint8_t> out) const {
+  if (auto it = fm->staged.find(fbn); it != fm->staged.end()) {
+    std::memcpy(out.data(), it->second.data(), out.size());
     return OkStatus();
   }
   const std::vector<BlockNo>& blocks = fm->tree.blocks;
@@ -356,10 +298,9 @@ Status LfsFileSystem::WriteAtSlice(InodeNum ino, uint64_t offset, std::span<cons
     fm->inode.mtime = clock_.Tick();
   }
   // Every slice (re)grows the map: between slices a commit may have evicted
-  // and reloaded it, or a truncate shrunk it.
+  // and reloaded it, or a truncate shrunk it. Staging a block marks the
+  // inode dirty.
   fm->tree.Grow(new_blocks_total);
-  fm->inode_dirty = true;
-  MarkInodeDirty(ino);
 
   uint64_t staged = 0;
   while (*pos < end) {
@@ -369,10 +310,10 @@ Status LfsFileSystem::WriteAtSlice(InodeNum ino, uint64_t offset, std::span<cons
     std::vector<uint8_t> block(bs);
     if (chunk != bs) {
       // Partial-block write: read-modify-write against cache or disk.
-      LFS_RETURN_IF_ERROR(ReadFileBlock(fm, ino, fbn, block));
+      LFS_RETURN_IF_ERROR(ReadFileBlock(fm, fbn, block));
     }
     std::memcpy(block.data() + in_block, data.data() + (*pos - offset), chunk);
-    StoreDirtyBlock(ino, fbn, std::move(block));
+    StageBlock(ino, fm, fbn, std::move(block));
     *pos += chunk;
     fm->inode.size = std::max(fm->inode.size, *pos);
     // A slice stages at most a buffer's worth (its reservation) and ends on
@@ -410,7 +351,7 @@ Result<uint64_t> LfsFileSystem::ReadAt(InodeNum ino, uint64_t offset, std::span<
     uint64_t fbn = pos / bs;
     uint32_t in_block = static_cast<uint32_t>(pos % bs);
     uint32_t chunk = static_cast<uint32_t>(std::min<uint64_t>(bs - in_block, want - done));
-    bool plain_disk_block = in_block == 0 && chunk == bs && !HaveDirtyBlock(ino, fbn) &&
+    bool plain_disk_block = in_block == 0 && chunk == bs && !fm->staged.contains(fbn) &&
                             fbn < blocks.size() && blocks[fbn] != kNilBlock;
     if (plain_disk_block) {
       // Extend the run of contiguous disk blocks.
@@ -418,7 +359,7 @@ Result<uint64_t> LfsFileSystem::ReadAt(InodeNum ino, uint64_t offset, std::span<
       while (done + run * bs + bs <= want) {
         uint64_t next_fbn = fbn + run;
         if (next_fbn >= blocks.size() || blocks[next_fbn] != blocks[fbn] + run ||
-            HaveDirtyBlock(ino, next_fbn)) {
+            fm->staged.contains(next_fbn)) {
           break;
         }
         run++;
@@ -431,7 +372,7 @@ Result<uint64_t> LfsFileSystem::ReadAt(InodeNum ino, uint64_t offset, std::span<
       continue;
     }
     std::vector<uint8_t> block(bs);
-    LFS_RETURN_IF_ERROR(ReadFileBlock(fm, ino, fbn, block));
+    LFS_RETURN_IF_ERROR(ReadFileBlock(fm, fbn, block));
     std::memcpy(out.data() + done, block.data() + in_block, chunk);
     done += chunk;
   }
@@ -449,14 +390,18 @@ Status LfsFileSystem::TruncateLocked(InodeNum ino, uint64_t new_size) {
   }
   const uint32_t bs = sb_.block_size;
   if (new_size < fm->inode.size) {
-    ShrinkFileMap(ino, fm, BlockCountFor(new_size));
+    // Zero the tail of the boundary block so later extensions read zeros.
+    // It is read before the tree is cut, so a failed read leaves the file
+    // whole.
+    std::vector<uint8_t> boundary;
     if (new_size % bs != 0) {
-      // Zero the tail of the boundary block so later extensions read zeros.
-      uint64_t fbn = new_size / bs;
-      std::vector<uint8_t> block(bs);
-      LFS_RETURN_IF_ERROR(ReadFileBlock(fm, ino, fbn, block));
-      std::memset(block.data() + new_size % bs, 0, bs - new_size % bs);
-      StoreDirtyBlock(ino, fbn, std::move(block));
+      boundary.resize(bs);
+      LFS_RETURN_IF_ERROR(ReadFileBlock(fm, new_size / bs, boundary));
+      std::memset(boundary.data() + new_size % bs, 0, bs - new_size % bs);
+    }
+    ShrinkFileMap(fm, BlockCountFor(new_size));
+    if (!boundary.empty()) {
+      StageBlock(ino, fm, new_size / bs, std::move(boundary));
     }
     if (new_size == 0) {
       // Truncation to zero bumps the file version (Section 3.3): all old log
@@ -478,7 +423,6 @@ Status LfsFileSystem::TruncateLocked(InodeNum ino, uint64_t new_size) {
   }
   fm->inode.size = new_size;
   fm->inode.mtime = clock_.Tick();
-  fm->inode_dirty = true;
   MarkInodeDirty(ino);
   return OkStatus();
 }
@@ -533,7 +477,10 @@ Status LfsFileSystem::FlushDirLog() {
 
 Status LfsFileSystem::FlushFileMetadata() {
   const uint32_t bs = sb_.block_size;
-  const std::set<InodeNum> dirty = TakeDirtyInodes();
+  // The caller holds fs_mu_ exclusive, so nothing marks an inode dirty while
+  // this runs. The set is emptied only once every inode in it is written: an
+  // inode a failed flush left behind stays dirty, and its map stays loaded.
+  const std::set<InodeNum>& dirty = dirty_inodes_;
 
   // Pass 1: indirect blocks (and double-indirect roots), so the inodes
   // written in pass 2 carry final pointers.
@@ -598,9 +545,9 @@ Status LfsFileSystem::FlushFileMetadata() {
         usage_.SubLive(old_seg, kInodeSlotSize);
       }
       imap_.SetLocation(ino, addr, static_cast<uint16_t>(s));
-      FindFileMap(ino)->inode_dirty = false;
     }
   }
+  dirty_inodes_.clear();
   return OkStatus();
 }
 
@@ -616,24 +563,29 @@ Status LfsFileSystem::FlushDirtyDataInner() {
 
   const uint32_t bs = sb_.block_size;
   uint64_t flushed = 0;
-  // Snapshot the batch so nothing that re-enters (checkpoints, cleaning) can
-  // invalidate the iteration.
-  auto batch = TakeDirtyBatch();
-  // std::map ordering gives (ino, fbn) order: blocks of a file, and files
-  // created together, land adjacently in the log — the paper's temporal
-  // locality.
-  for (auto& [key, data] : batch) {
-    auto [ino, fbn] = key;
-    LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(ino));
-    SummaryEntry entry{BlockKind::kData, ino, fbn, fm->inode.version};
-    LFS_ASSIGN_OR_RETURN(BlockNo addr,
-                         writer_.Append(entry, std::move(data), fm->inode.mtime, bs));
-    DebitLogBlock(fm->tree.blocks[fbn]);
-    fm->tree.blocks[fbn] = addr;
-    fm->tree.MarkDirty(fbn);
-    fm->inode_dirty = true;
-    MarkInodeDirty(ino);
-    flushed++;
+  // Take every staged block before appending any. dirty_inodes_ holds every
+  // inode with a staged block, in ascending order, and each map holds its
+  // blocks in fbn order: blocks of a file, and files created together, land
+  // adjacently in the log — the paper's temporal locality. The caller holds
+  // fs_mu_ exclusive.
+  std::vector<std::pair<FileMap*, std::map<uint64_t, std::vector<uint8_t>>>> batch;
+  for (InodeNum ino : dirty_inodes_) {
+    FileMap* fm = FindFileMap(ino);
+    if (fm != nullptr && !fm->staged.empty()) {
+      batch.emplace_back(fm, std::exchange(fm->staged, {}));
+    }
+  }
+  dirty_count_.store(0);
+  for (auto& [fm, blocks] : batch) {
+    for (auto& [fbn, data] : blocks) {
+      SummaryEntry entry{BlockKind::kData, fm->inode.ino, fbn, fm->inode.version};
+      LFS_ASSIGN_OR_RETURN(BlockNo addr,
+                           writer_.Append(entry, std::move(data), fm->inode.mtime, bs));
+      DebitLogBlock(fm->tree.blocks[fbn]);
+      fm->tree.blocks[fbn] = addr;
+      fm->tree.MarkDirty(fbn);
+      flushed++;
+    }
   }
   LFS_RETURN_IF_ERROR(FlushFileMetadata());
   LFS_RETURN_IF_ERROR(writer_.Flush());
@@ -642,11 +594,15 @@ Status LfsFileSystem::FlushDirtyDataInner() {
 }
 
 void LfsFileSystem::TrimFileCache() {
-  // Trim clean cached file maps and directories; dirty state always stays.
-  // Candidates are visited in ascending inode order across shards, so what
-  // is evicted does not depend on the shard count. Caller holds fs_mu_
+  // Trim clean file maps; a dirty one, the root and a loaded directory always
+  // stay. Candidates are visited in ascending inode order across shards, so
+  // what is evicted does not depend on the shard count. Caller holds fs_mu_
   // exclusive.
-  size_t total = LoadedFileMapCount();
+  size_t total = 0;
+  for (InodeTableShard& shard : itable_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    total += shard.files.size();
+  }
   if (total <= kFileCacheCap) {
     return;
   }
@@ -666,11 +622,7 @@ void LfsFileSystem::TrimFileCache() {
     if (it == shard.files.end()) {
       continue;
     }
-    const FileMap& fm = it->second;
-    bool clean = !fm.inode_dirty && fm.tree.dirty_ind.empty() && !fm.tree.dind_dirty &&
-                 dirty_inodes_.count(ino) == 0 && ino != kRootInode &&
-                 shard.dirs.find(ino) == shard.dirs.end();
-    if (clean) {
+    if (dirty_inodes_.count(ino) == 0 && ino != kRootInode && it->second.dir == nullptr) {
       shard.files.erase(it);
       total--;
     }

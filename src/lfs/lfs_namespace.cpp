@@ -33,31 +33,35 @@ constexpr int kVerifyRetries = 64;
 }  // namespace
 
 Result<Directory*> LfsFileSystem::GetDirectory(InodeNum dir_ino) {
-  // May run under the shared fs lock (lookups, ReadDir), so structural
-  // access to the shard goes through its mutex. std::map nodes are stable:
-  // the returned pointer outlives the lock. Two shared holders may both
-  // load the directory; emplace keeps the first copy.
+  // May run under the shared fs lock (lookups, ReadDir), so the map lookup
+  // and the FileMap's `dir` go through the shard mutex. std::map nodes are
+  // stable and a loaded Directory stays with its map: the returned pointer
+  // outlives the lock. Two shared holders may both load the directory; the
+  // first to set `dir` wins.
   InodeTableShard& shard = TableShard(dir_ino);
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.dirs.find(dir_ino);
-    if (it != shard.dirs.end()) {
-      return &it->second;
+    auto it = shard.files.find(dir_ino);
+    if (it != shard.files.end() && it->second.dir != nullptr) {
+      return it->second.dir.get();
     }
   }
   LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(dir_ino));
   if (fm->inode.type != FileType::kDirectory) {
     return NotADirectoryError("inode " + std::to_string(dir_ino) + " is not a directory");
   }
-  Directory dir(sb_.block_size);
+  auto dir = std::make_unique<Directory>(sb_.block_size);
   uint64_t nblocks = BlockCountFor(fm->inode.size);
   std::vector<uint8_t> block(sb_.block_size);
   for (uint64_t b = 0; b < nblocks; b++) {
-    LFS_RETURN_IF_ERROR(ReadFileBlock(fm, dir_ino, b, block));
-    LFS_RETURN_IF_ERROR(dir.Load(block));
+    LFS_RETURN_IF_ERROR(ReadFileBlock(fm, b, block));
+    LFS_RETURN_IF_ERROR(dir->Load(block));
   }
   std::lock_guard<std::mutex> lock(shard.mu);
-  return &shard.dirs.emplace(dir_ino, std::move(dir)).first->second;
+  if (fm->dir == nullptr) {
+    fm->dir = std::move(dir);
+  }
+  return fm->dir.get();
 }
 
 Result<InodeNum> LfsFileSystem::LookupInDir(InodeNum dir_ino, std::string_view name) {
@@ -91,13 +95,11 @@ Result<std::pair<InodeNum, std::string>> LfsFileSystem::ResolveParent(std::strin
 }
 
 Status LfsFileSystem::WriteDirBlock(InodeNum dir_ino, const Directory& dir, uint64_t fbn) {
-  StoreDirtyBlock(dir_ino, fbn, std::vector<uint8_t>(dir.block(fbn).begin(), dir.block(fbn).end()));
   LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(dir_ino));
+  StageBlock(dir_ino, fm, fbn, std::vector<uint8_t>(dir.block(fbn).begin(), dir.block(fbn).end()));
   fm->tree.Grow(dir.block_count());
   fm->inode.size = std::max(fm->inode.size, dir.block_count() * sb_.block_size);
   fm->inode.mtime = clock_.Tick();
-  fm->inode_dirty = true;
-  MarkInodeDirty(dir_ino);
   return OkStatus();
 }
 
@@ -133,20 +135,13 @@ void LfsFileSystem::LogDirOp(DirLogRecord record) {
 // --- create / mkdir ------------------------------------------------------------
 
 Result<InodeNum> LfsFileSystem::CreateLocked(InodeNum dir_ino, const std::string& name,
-                                             std::string_view path) {
+                                             std::string_view path, FileType type) {
   if (LookupInDir(dir_ino, name).ok()) {
     return AlreadyExistsError(std::string(path));
   }
   LFS_RETURN_IF_ERROR(EnsureSpaceForWrite(1));
   LFS_ASSIGN_OR_RETURN(InodeNum ino, imap_.Allocate());
-
-  FileMap fm = NewFileMap(ino, FileType::kRegular);
-  {
-    InodeTableShard& shard = TableShard(ino);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.files.insert_or_assign(ino, std::move(fm));
-  }
-  MarkInodeDirty(ino);
+  NewFileMap(ino, type);
 
   DirLogRecord rec;
   rec.op = DirOp::kCreate;
@@ -155,10 +150,10 @@ Result<InodeNum> LfsFileSystem::CreateLocked(InodeNum dir_ino, const std::string
   rec.target_ino = ino;
   rec.target_version = imap_.Get(ino).version;
   rec.new_nlink = 1;
-  rec.target_type = FileType::kRegular;
+  rec.target_type = type;
   LogDirOp(std::move(rec));
 
-  LFS_RETURN_IF_ERROR(AddDirEntry(dir_ino, DirEntry{name, ino, FileType::kRegular}));
+  LFS_RETURN_IF_ERROR(AddDirEntry(dir_ino, DirEntry{name, ino, type}));
   return ino;
 }
 
@@ -169,40 +164,10 @@ Result<InodeNum> LfsFileSystem::Create(std::string_view path) {
     LFS_ASSIGN_OR_RETURN(auto parent, ResolveParent(path));
     auto [dir_ino, name] = parent;
     InodeLockSet il(ilocks_, {dir_ino}, /*exclusive=*/true);
-    LFS_ASSIGN_OR_RETURN(ino, CreateLocked(dir_ino, name, path));
+    LFS_ASSIGN_OR_RETURN(ino, CreateLocked(dir_ino, name, path, FileType::kRegular));
     return OkStatus();
   }));
   return ino;
-}
-
-Status LfsFileSystem::MkdirLocked(InodeNum dir_ino, const std::string& name,
-                                  std::string_view path) {
-  if (LookupInDir(dir_ino, name).ok()) {
-    return AlreadyExistsError(std::string(path));
-  }
-  LFS_RETURN_IF_ERROR(EnsureSpaceForWrite(1));
-  LFS_ASSIGN_OR_RETURN(InodeNum ino, imap_.Allocate());
-
-  FileMap fm = NewFileMap(ino, FileType::kDirectory);
-  {
-    InodeTableShard& shard = TableShard(ino);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.files.insert_or_assign(ino, std::move(fm));
-    shard.dirs.insert_or_assign(ino, Directory(sb_.block_size));
-  }
-  MarkInodeDirty(ino);
-
-  DirLogRecord rec;
-  rec.op = DirOp::kCreate;
-  rec.dir_ino = dir_ino;
-  rec.name = name;
-  rec.target_ino = ino;
-  rec.target_version = imap_.Get(ino).version;
-  rec.new_nlink = 1;
-  rec.target_type = FileType::kDirectory;
-  LogDirOp(std::move(rec));
-
-  return AddDirEntry(dir_ino, DirEntry{name, ino, FileType::kDirectory});
 }
 
 Status LfsFileSystem::Mkdir(std::string_view path) {
@@ -211,7 +176,7 @@ Status LfsFileSystem::Mkdir(std::string_view path) {
     LFS_ASSIGN_OR_RETURN(auto parent, ResolveParent(path));
     auto [dir_ino, name] = parent;
     InodeLockSet il(ilocks_, {dir_ino}, /*exclusive=*/true);
-    return MkdirLocked(dir_ino, name, path);
+    return CreateLocked(dir_ino, name, path, FileType::kDirectory).status();
   });
 }
 
@@ -219,7 +184,7 @@ Status LfsFileSystem::Mkdir(std::string_view path) {
 
 Status LfsFileSystem::DeleteFileContents(InodeNum ino) {
   LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(ino));
-  ShrinkFileMap(ino, fm, 0);  // frees data + indirect blocks
+  ShrinkFileMap(fm, 0);  // frees data + indirect blocks
   ImapEntry old = imap_.Get(ino);
   SegNo old_seg = sb_.SegOf(old.inode_block);
   if (old.allocated() && old_seg != kNilSeg) {
@@ -260,7 +225,6 @@ Status LfsFileSystem::UnlinkLocked(InodeNum dir_ino, const std::string& name, In
     LFS_RETURN_IF_ERROR(DeleteFileContents(ino));
   } else {
     fm->inode.mtime = clock_.Tick();
-    fm->inode_dirty = true;
     MarkInodeDirty(ino);
   }
   return OkStatus();
@@ -348,7 +312,6 @@ Status LfsFileSystem::LinkLocked(InodeNum ino, InodeNum dir_ino, const std::stri
   LFS_RETURN_IF_ERROR(AddDirEntry(dir_ino, DirEntry{name, ino, FileType::kRegular}));
   fm->inode.nlink++;
   fm->inode.mtime = clock_.Tick();
-  fm->inode_dirty = true;
   MarkInodeDirty(ino);
   return OkStatus();
 }
@@ -411,7 +374,6 @@ Status LfsFileSystem::RenameLocked(InodeNum from_dir, const std::string& from_na
       if (rfm->inode.nlink == 0) {
         LFS_RETURN_IF_ERROR(DeleteFileContents(replaced));
       } else {
-        rfm->inode_dirty = true;
         MarkInodeDirty(replaced);
       }
     }
@@ -420,7 +382,6 @@ Status LfsFileSystem::RenameLocked(InodeNum from_dir, const std::string& from_na
   LFS_RETURN_IF_ERROR(AddDirEntry(to_dir, DirEntry{to_name, ino, type}));
   fm = FindFileMap(ino);  // re-fetch: DeleteFileContents may have touched maps
   fm->inode.mtime = clock_.Tick();
-  fm->inode_dirty = true;
   MarkInodeDirty(ino);
   return OkStatus();
 }

@@ -355,7 +355,6 @@ Status LfsFileSystem::RollForward(const Checkpoint& ck) {
       }
       if ((*fm)->inode.nlink != n) {
         (*fm)->inode.nlink = static_cast<uint16_t>(n);
-        (*fm)->inode_dirty = true;
         MarkInodeDirty(ino);
       }
     }
@@ -405,7 +404,6 @@ Status LfsFileSystem::ApplyDirLogFix(
     LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(ino));
     if (fm->inode.nlink != nlink) {
       fm->inode.nlink = nlink;
-      fm->inode_dirty = true;
       MarkInodeDirty(ino);
     }
     return OkStatus();

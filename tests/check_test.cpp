@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "src/disk/crash_disk.h"
+#include "src/disk/fault_disk.h"
 #include "src/lfs/check.h"
 #include "src/util/json.h"
 #include "tests/test_util.h"
@@ -362,6 +363,28 @@ TEST_F(CheckTest, DirectoryEntryCountPastTheBlockIsCorruptionNotACrash) {
   EXPECT_TRUE(flagged) << report.Summary();
   ASSERT_OK_AND_ASSIGN(auto fs, LfsFileSystem::Mount(disk_.get(), cfg_));
   EXPECT_EQ(fs->Lookup("/d/a").status().code(), StatusCode::kCorruption);
+}
+
+TEST_F(CheckTest, UnreadableDirectoryBlockIsAFindingNotAnAbort) {
+  // A directory block that cannot be read is one finding; the check goes
+  // on and still returns its report.
+  ASSERT_OK(fs_->Mkdir("/d"));
+  ASSERT_OK(fs_->WriteFile("/d/a", TestContent(1, 100)));
+  ASSERT_OK_AND_ASSIGN(InodeNum dir, fs_->Lookup("/d"));
+  ASSERT_OK(fs_->Sync());
+  ASSERT_OK_AND_ASSIGN(std::vector<BlockNo> addrs, fs_->FileBlockAddresses(dir));
+  ASSERT_EQ(addrs.size(), 1u);
+  ASSERT_OK(fs_->Unmount());
+  fs_.reset();
+  FaultDisk disk(std::move(disk_));
+  disk.AddLatentError(addrs[0]);
+
+  ASSERT_OK_AND_ASSIGN(CheckReport report, CheckLfsImage(&disk));
+  bool flagged = false;
+  for (const CheckFinding& f : report.findings) {
+    flagged = flagged || (f.error && f.invariant == "dirtree.block_unreadable");
+  }
+  EXPECT_TRUE(flagged) << report.Summary();
 }
 
 TEST_F(CheckTest, CrashedImageHasNoErrors) {

@@ -36,6 +36,52 @@ class LfsBasicTest : public ::testing::Test {
   std::unique_ptr<LfsFileSystem> fs_;
 };
 
+// Stages one block at a time in descending (inode, block) order, for inodes
+// whose stripe order differs from their number order, flushes them in one
+// batch, and returns each block's log address in (inode, block) order.
+void FlushedAddresses(uint32_t inode_shards, std::vector<BlockNo>* out) {
+  LfsConfig cfg = SmallConfig();
+  cfg.segment_blocks = 64;
+  cfg.write_buffer_blocks = 64;  // holds every staged block
+  cfg.inode_shards = inode_shards;
+  MemDisk disk(cfg.block_size, 8192);
+  ASSERT_OK_AND_ASSIGN(auto fs, LfsFileSystem::Mkfs(&disk, cfg));
+  std::vector<InodeNum> inos;
+  for (int i = 0; i < 70; i++) {
+    ASSERT_OK_AND_ASSIGN(InodeNum ino, fs->Create("/f" + std::to_string(i)));
+    inos.push_back(ino);
+  }
+  ASSERT_OK(fs->Sync());
+  // With 64 stripes, inode 65 sorts before 2 and 66 by stripe, and 3 after.
+  std::vector<InodeNum> targets = {inos[0], inos[1], inos[63], inos[64]};
+  ASSERT_EQ(targets, (std::vector<InodeNum>{2, 3, 65, 66}));
+  const uint64_t blocks_per_file = 3;
+  for (auto ino = targets.rbegin(); ino != targets.rend(); ++ino) {
+    for (uint64_t fbn = blocks_per_file; fbn-- > 0;) {
+      ASSERT_OK(fs->WriteAt(*ino, fbn * cfg.block_size,
+                            TestContent(*ino * 10 + fbn, cfg.block_size)));
+    }
+  }
+  ASSERT_EQ(fs->dirty_buffered_blocks(), targets.size() * blocks_per_file);
+  ASSERT_OK(fs->Sync());
+  out->clear();
+  for (InodeNum ino : targets) {
+    ASSERT_OK_AND_ASSIGN(std::vector<BlockNo> addrs, fs->FileBlockAddresses(ino));
+    ASSERT_EQ(addrs.size(), blocks_per_file);
+    out->insert(out->end(), addrs.begin(), addrs.end());
+  }
+}
+
+TEST(LfsFlushOrderTest, StagedBlocksReachTheLogInInodeThenBlockOrder) {
+  std::vector<BlockNo> one_stripe;
+  std::vector<BlockNo> many_stripes;
+  ASSERT_NO_FATAL_FAILURE(FlushedAddresses(1, &one_stripe));
+  ASSERT_NO_FATAL_FAILURE(FlushedAddresses(64, &many_stripes));
+  EXPECT_TRUE(std::is_sorted(many_stripes.begin(), many_stripes.end()));
+  EXPECT_EQ(std::adjacent_find(many_stripes.begin(), many_stripes.end()), many_stripes.end());
+  EXPECT_EQ(one_stripe, many_stripes);
+}
+
 TEST_F(LfsBasicTest, MkfsCreatesEmptyRoot) {
   ASSERT_OK_AND_ASSIGN(auto entries, fs_->ReadDir("/"));
   EXPECT_TRUE(entries.empty());

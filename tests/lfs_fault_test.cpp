@@ -155,6 +155,42 @@ TEST(FaultInjectionTest, VerifiedReadRetriesTheSummaryRead) {
   EXPECT_EQ(got.status().code(), StatusCode::kCorruption) << got.status().ToString();
 }
 
+TEST(FaultInjectionTest, FailedTruncateLeavesTheFileWhole) {
+  // Truncate reads the block that will end the file before it cuts the
+  // tree, so a failed read changes neither the file nor the usage table.
+  LfsConfig cfg = SmallConfig();
+  FaultDisk disk(std::make_unique<MemDisk>(cfg.block_size, 4096));
+  auto fs = std::move(LfsFileSystem::Mkfs(&disk, cfg)).value();
+
+  std::vector<uint8_t> content = TestContent(1, 4 * cfg.block_size);
+  ASSERT_OK(fs->WriteFile("/f", content));
+  // Move the log head past /f's segment.
+  ASSERT_OK(fs->WriteFile("/g", TestContent(2, 40 * cfg.block_size)));
+  ASSERT_OK(fs->Sync());
+  ASSERT_OK_AND_ASSIGN(InodeNum ino, fs->Lookup("/f"));
+  ASSERT_OK_AND_ASSIGN(std::vector<BlockNo> addrs, fs->FileBlockAddresses(ino));
+  ASSERT_EQ(addrs.size(), 4u);
+  // Remount to empty the read cache, so the boundary read hits the device.
+  ASSERT_OK(fs->Unmount());
+  fs.reset();
+  fs = std::move(LfsFileSystem::Mount(&disk, cfg)).value();
+
+  disk.AddLatentError(addrs[1]);
+  EXPECT_EQ(fs->Truncate(ino, cfg.block_size + cfg.block_size / 2).code(),
+            StatusCode::kIoError);
+  disk.ClearLatentError(addrs[1]);
+  ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> got, fs->ReadFile("/f"));
+  EXPECT_EQ(got, content);
+
+  ASSERT_OK(fs->Unmount());
+  fs.reset();
+  ASSERT_OK_AND_ASSIGN(CheckReport report, CheckLfsImage(&disk));
+  EXPECT_EQ(report.errors, 0u) << report.Summary();
+  fs = std::move(LfsFileSystem::Mount(&disk, cfg)).value();
+  ASSERT_OK_AND_ASSIGN(got, fs->ReadFile("/f"));
+  EXPECT_EQ(got, content);
+}
+
 TEST(FaultInjectionTest, CleanerQuarantinesDamagedVictims) {
   LfsConfig cfg = SmallConfig();
   FaultDisk disk(std::make_unique<MemDisk>(cfg.block_size, 8192));
