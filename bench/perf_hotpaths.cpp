@@ -17,8 +17,9 @@
 //     measure — coalescing saves the per-request overheads) and as host
 //     wall-clock over the raw in-memory backing.
 //   byte_loops: host MB/s of Crc32Update and of memcpy over one in-cache
-//     4-KB buffer, each the median of 5 batches. Their ratio cancels the
-//     machine's speed, so CI gates it: the log CRCs every block it writes.
+//     4-KB buffer, each the median of 5 batches, and the CRC kernel this CPU
+//     ran. Their ratio cancels the machine's speed, so CI gates it: the log
+//     CRCs every block it writes.
 
 #include <algorithm>
 #include <chrono>
@@ -306,8 +307,9 @@ int Main() {
            i + 1 < reads.size() ? "," : "");
   }
   printf("  ],\n");
-  printf("  \"byte_loops\": {\"crc32_mb_per_s\": %.1f, \"memcpy_mb_per_s\": %.1f}\n",
-         loops.crc32_mb_s, loops.memcpy_mb_s);
+  printf("  \"byte_loops\": {\"crc32_mb_per_s\": %.1f, \"memcpy_mb_per_s\": %.1f, "
+         "\"crc32_kernel\": \"%s\"}\n",
+         loops.crc32_mb_s, loops.memcpy_mb_s, Crc32KernelName());
   printf("}\n");
 
   // The stable-schema report CI diffs. Modeled/count metrics are

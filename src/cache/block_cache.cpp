@@ -68,7 +68,8 @@ bool BlockCache::Get(BlockNo block, std::span<uint8_t> out, uint64_t tag) {
   return true;
 }
 
-void BlockCache::EvictIfFull(Shard& shard) {
+std::vector<uint8_t> BlockCache::EvictIfFull(Shard& shard) {
+  std::vector<uint8_t> spare;
   while (shard.frames.size() >= shard_capacity_) {
     // LRU-first scan for a victim whose contents are safe to drop.
     auto victim = shard.frames.end();
@@ -91,19 +92,21 @@ void BlockCache::EvictIfFull(Shard& shard) {
       break;
     }
     if (victim == shard.frames.end()) {
-      return;  // every writeback failed: overcommit
+      return spare;  // every writeback failed: overcommit
     }
     LFS_TRACE(tracer_, obs::TraceEventType::kCacheEvict, obs::OpType::kNone, 0,
               victim->first, victim->second.dirty ? 1 : 0, 0.0);
+    spare = std::move(victim->second.data);
     Drop(shard, victim);
   }
+  return spare;
 }
 
 void BlockCache::Insert(Shard& shard, BlockNo block, std::span<const uint8_t> data,
                         bool dirty, uint64_t tag) {
-  EvictIfFull(shard);
-  shard.lru.push_front(block);
   Frame frame;
+  frame.data = EvictIfFull(shard);  // the evicted frame's buffer, if any
+  shard.lru.push_front(block);
   frame.data.assign(data.begin(), data.end());
   frame.data.resize(block_size_, 0);
   frame.dirty = dirty;

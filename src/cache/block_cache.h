@@ -148,7 +148,9 @@ class BlockCache {
   // retries) and the shard overcommits instead of losing dirty data.
   void Touch(Shard& shard, Frame& frame);
   void Drop(Shard& shard, FrameIt it);
-  void EvictIfFull(Shard& shard);
+  // Returns the buffer of the last frame it evicted (empty if none), for
+  // the caller's new frame to reuse.
+  std::vector<uint8_t> EvictIfFull(Shard& shard);
   void Insert(Shard& shard, BlockNo block, std::span<const uint8_t> data, bool dirty,
               uint64_t tag);
 

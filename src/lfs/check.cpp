@@ -405,7 +405,7 @@ void Checker::CheckDirectoryTree() {
 }
 
 Status Checker::CheckSegmentChains() {
-  std::vector<uint8_t> payload;
+  std::vector<uint8_t> payload(sb_.segment_bytes());
   for (SegNo seg = 0; seg < sb_.nsegments; seg++) {
     report_.segments_scanned++;
     if (usage_[seg].state == SegState::kClean) {
@@ -420,7 +420,7 @@ Status Checker::CheckSegmentChains() {
                        });
     while (chain.Next()) {
       report_.partial_writes++;
-      if (!options_.verify_payload_crcs || chain.ReadPayload(&payload).ok()) {
+      if (!options_.verify_payload_crcs || chain.ReadPayload(payload).ok()) {
         continue;
       }
       // Damage inside a quarantined segment is known and contained: the

@@ -490,14 +490,14 @@ bool SegmentChain::Next() {
   return true;
 }
 
-Status SegmentChain::ReadPayload(std::vector<uint8_t>* out) {
-  out->resize(size_t{payload_blocks()} * block_size_);
-  Status st = read_(payload_addr(), payload_blocks(), *out);
+Status SegmentChain::ReadPayload(std::span<uint8_t> out) {
+  out = out.first(size_t{payload_blocks()} * block_size_);
+  Status st = read_(payload_addr(), payload_blocks(), out);
   if (!st.ok()) {
     End(ChainEnd::kPayloadUnreadable);
     return st;
   }
-  if (Crc32(*out) != summary_.payload_crc) {
+  if (Crc32(out) != summary_.payload_crc) {
     End(ChainEnd::kPayloadCrc);
     return CorruptionError("payload CRC mismatch in the partial write at block " +
                            std::to_string(base_ + offset_) + " covering blocks [" +

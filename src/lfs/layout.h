@@ -306,9 +306,10 @@ class SegmentChain {
   // Reads the next summary. False once the chain has ended; end() says why
   // and offset() where.
   bool Next();
-  // Reads the current partial's payload into `out` and checks its CRC. A
-  // failure ends the chain and returns the read's error or kCorruption.
-  Status ReadPayload(std::vector<uint8_t>* out);
+  // Reads the current partial's payload into the first payload_blocks()
+  // blocks of `out` and checks its CRC. A failure ends the chain and returns
+  // the read's error or kCorruption.
+  Status ReadPayload(std::span<uint8_t> out);
 
   const SegmentSummary& summary() const { return summary_; }
   // The current partial's summary offset; once ended, where the chain ended.

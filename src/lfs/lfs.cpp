@@ -288,9 +288,7 @@ Status LfsFileSystem::FlushMetadataChunks() {
     BlockNo old = imap_.chunk_addr(c);
     imap_.EncodeChunk(c, block);
     SummaryEntry entry{BlockKind::kImapChunk, kNilInode, c, 0};
-    LFS_ASSIGN_OR_RETURN(BlockNo addr,
-                         writer_.Append(entry, std::vector<uint8_t>(block), clock_.Now(),
-                                        sb_.block_size));
+    LFS_ASSIGN_OR_RETURN(BlockNo addr, writer_.Append(entry, block, clock_.Now(), sb_.block_size));
     SegNo old_seg = sb_.SegOf(old);
     if (old != kNilBlock && old_seg != kNilSeg) {
       usage_.SubLive(old_seg, sb_.block_size);
@@ -368,8 +366,7 @@ Status LfsFileSystem::FlushMetadataChunks() {
       }
       SummaryEntry entry{BlockKind::kUsageChunk, kNilInode, c, 0};
       LFS_ASSIGN_OR_RETURN(BlockNo addr,
-                           writer_.Append(entry, std::vector<uint8_t>(block), clock_.Now(),
-                                          /*live_bytes=*/0));
+                           writer_.Append(entry, block, clock_.Now(), /*live_bytes=*/0));
       usage_.set_chunk_addr(c, addr);
     }
     return OkStatus();

@@ -32,7 +32,9 @@
 #include <mutex>
 #include <set>
 #include <shared_mutex>
+#include <span>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "src/cache/block_cache.h"
@@ -315,10 +317,10 @@ class LfsFileSystem : public FileSystem {
   // uncached stretches with single run-granular device reads that also
   // populate read_cache_.
   Status ReadLogRun(BlockNo addr, uint64_t count, std::span<uint8_t> out) const;
-  // Stages `block` as block `fbn` of inode `ino` (map `fm`), replacing any
-  // staged copy, and marks the inode dirty. Caller holds the inode's stripe
-  // exclusive.
-  void StageBlock(InodeNum ino, FileMap* fm, uint64_t fbn, std::vector<uint8_t> block);
+  // Copies `block` in as the staged block `fbn` of inode `ino` (map `fm`),
+  // over any staged copy, and marks the inode dirty. Caller holds the
+  // inode's stripe exclusive.
+  void StageBlock(InodeNum ino, FileMap* fm, uint64_t fbn, std::span<const uint8_t> block);
   // Block `fbn` of the file: its staged copy, else its log copy, else zeros.
   Status ReadFileBlock(const FileMap* fm, uint64_t fbn, std::span<uint8_t> out) const;
   // Cuts the file to `new_block_count` blocks, dropping their staged
@@ -408,13 +410,13 @@ class LfsFileSystem : public FileSystem {
 
   // --- the inode table ---
 
-  // Shard of the in-memory inode table. std::map nodes are stable, so
-  // handed-out pointers survive unrelated inserts/erases in the same shard;
-  // erasure of an inode's own record only happens under its stripe lock (or
-  // fs_mu_ exclusive).
+  // Shard of the in-memory inode table, hashed: nothing depends on its
+  // order. Rehashing moves no element, so handed-out pointers survive
+  // unrelated inserts/erases in the same shard; erasure of an inode's own
+  // record only happens under its stripe lock (or fs_mu_ exclusive).
   struct InodeTableShard {
     mutable std::mutex mu;
-    std::map<InodeNum, FileMap> files;
+    std::unordered_map<InodeNum, FileMap> files;
   };
 
   InodeTableShard& TableShard(InodeNum ino) {
@@ -516,29 +518,31 @@ class LfsFileSystem : public FileSystem {
   // FlushFileMetadata), since the victim stays kDirty instead of being
   // zeroed wholesale by a clean transition.
   Status MigrateLiveBlock(const SummaryEntry& entry, BlockNo addr,
-                          std::vector<uint8_t> content, SegNo drain_src = kNilSeg);
+                          std::span<const uint8_t> content, SegNo drain_src = kNilSeg);
   // One live block queued for rewriting at the log head.
   struct LiveBlock {
     SummaryEntry entry;
     BlockNo addr = kNilBlock;
-    std::vector<uint8_t> content;
+    std::span<const uint8_t> content;  // in its victim's buffer (victim_bufs_)
     SegNo drain_src = kNilSeg;  // partial compaction: debit this victim on move
   };
   // Collects a segment's live blocks, either by reading the whole segment
   // (the paper's conservative default) or by reading summaries first and
   // then only the live block runs (cleaner_read_live_blocks_only, and
-  // partial compaction).
+  // partial compaction). Blocks are read to their place in `seg_buf`
+  // (segment_bytes() long), and each LiveBlock's content points there.
   // `media_damage` is set when the segment could not be fully collected
   // because of unreadable or CRC-failing blocks; whatever live blocks were
   // recovered before the damage are still appended to `out`.
-  Status CollectLiveBlocksWhole(SegNo seg, std::vector<LiveBlock>* out, bool* media_damage);
+  Status CollectLiveBlocksWhole(SegNo seg, std::span<uint8_t> seg_buf,
+                                std::vector<LiveBlock>* out, bool* media_damage);
   // The summary-first walk starts at block offset `start`, stops at the
   // first partial-write boundary once `max_blocks` live blocks are gathered,
   // and tags each with `drain_src`. Returns the offset where the walk
   // stopped, or segment_blocks when it reached the end of the chain.
   Result<uint32_t> CollectLiveBlocksSparse(SegNo seg, uint32_t start, uint32_t max_blocks,
-                                           SegNo drain_src, std::vector<LiveBlock>* out,
-                                           bool* media_damage);
+                                           SegNo drain_src, std::span<uint8_t> seg_buf,
+                                           std::vector<LiveBlock>* out, bool* media_damage);
 
   // --- recovery (lfs_recovery.cpp) ---
 
@@ -546,11 +550,9 @@ class LfsFileSystem : public FileSystem {
   SegmentChain Chain(SegNo seg, uint32_t start_offset, uint32_t stop_offset) const;
   // Reads the chain of one segment from start_offset, payloads included, and
   // returns its partials with sequence number min_seq or above. The chain
-  // also ends at a payload that is unreadable or fails its CRC; `end`, if
-  // given, receives why it ended.
+  // also ends at a payload that is unreadable or fails its CRC.
   std::vector<ParsedPartial> ParseSegmentChain(SegNo seg, uint32_t start_offset,
-                                               uint32_t stop_offset, uint64_t min_seq,
-                                               ChainEnd* end = nullptr);
+                                               uint32_t stop_offset, uint64_t min_seq);
   Status RollForward(const Checkpoint& ck);
   // alloc_versions: per-inode versions observed at allocation (kCreate
   // records) within the replay window, used to tell apart generations of a
@@ -609,6 +611,9 @@ class LfsFileSystem : public FileSystem {
   bool cleaner_stop_ = false;   // guarded by cleaner_mu_
   bool cleaner_kick_ = false;   // guarded by cleaner_mu_
   std::atomic<bool> cleaner_running_{false};
+  // Segment-sized read buffers of a pass's victims that hold live bytes,
+  // kept across passes (CleanerPass, under fs_mu_ exclusive).
+  std::vector<std::vector<uint8_t>> victim_bufs_;
 
   uint32_t cr_next_ = 0;            // which checkpoint region to write next
   std::set<SegNo> cr_hosts_[2];     // chunk-host segments referenced by each CR

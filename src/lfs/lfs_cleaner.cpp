@@ -173,7 +173,7 @@ Result<uint32_t> LfsFileSystem::LiveBytes(const SummaryEntry& entry, BlockNo add
 }
 
 Status LfsFileSystem::MigrateLiveBlock(const SummaryEntry& entry, BlockNo addr,
-                                       std::vector<uint8_t> content, SegNo drain_src) {
+                                       std::span<const uint8_t> content, SegNo drain_src) {
   const uint32_t bs = sb_.block_size;
   switch (entry.kind) {
     case BlockKind::kData: {
@@ -187,8 +187,8 @@ Status LfsFileSystem::MigrateLiveBlock(const SummaryEntry& entry, BlockNo addr,
       // it can ratchet twice.
       SegNo src_seg = static_cast<SegNo>((addr - sb_.seg_start) / sb_.segment_blocks);
       uint32_t cold_hint = 2 + usage_.Get(src_seg).log_id;
-      LFS_ASSIGN_OR_RETURN(BlockNo new_addr, writer_.Append(entry, std::move(content),
-                                                            entry.mtime, bs, cold_hint));
+      LFS_ASSIGN_OR_RETURN(BlockNo new_addr,
+                           writer_.Append(entry, content, entry.mtime, bs, cold_hint));
       fm->tree.blocks[entry.fbn] = new_addr;
       fm->tree.MarkDirty(entry.fbn);
       MarkInodeDirty(entry.ino);
@@ -226,8 +226,7 @@ Status LfsFileSystem::MigrateLiveBlock(const SummaryEntry& entry, BlockNo addr,
       std::vector<uint8_t> fresh(bs);
       imap_.EncodeChunk(chunk, fresh);
       SummaryEntry e{BlockKind::kImapChunk, kNilInode, chunk, 0};
-      LFS_ASSIGN_OR_RETURN(BlockNo new_addr,
-                           writer_.Append(e, std::move(fresh), clock_.Now(), bs));
+      LFS_ASSIGN_OR_RETURN(BlockNo new_addr, writer_.Append(e, fresh, clock_.Now(), bs));
       imap_.set_chunk_addr(chunk, new_addr);
       if (drain_src != kNilSeg) {
         usage_.SubLive(drain_src, bs);
@@ -249,7 +248,7 @@ Status LfsFileSystem::MigrateLiveBlock(const SummaryEntry& entry, BlockNo addr,
       usage_.EncodeChunk(chunk, fresh);
       SummaryEntry e{BlockKind::kUsageChunk, kNilInode, chunk, 0};
       LFS_ASSIGN_OR_RETURN(BlockNo new_addr,
-                           writer_.Append(e, std::move(fresh), clock_.Now(), /*live_bytes=*/0));
+                           writer_.Append(e, fresh, clock_.Now(), /*live_bytes=*/0));
       usage_.set_chunk_addr(chunk, new_addr);
       usage_.MarkChunkDirty(chunk);
       return OkStatus();
@@ -260,31 +259,38 @@ Status LfsFileSystem::MigrateLiveBlock(const SummaryEntry& entry, BlockNo addr,
   return OkStatus();
 }
 
-Status LfsFileSystem::CollectLiveBlocksWhole(SegNo seg, std::vector<LiveBlock>* out,
-                                             bool* media_damage) {
+Status LfsFileSystem::CollectLiveBlocksWhole(SegNo seg, std::span<uint8_t> seg_buf,
+                                             std::vector<LiveBlock>* out, bool* media_damage) {
   // The paper's conservative mechanism: read the segment in its entirety
-  // (the chain of partial writes covers everything ever written to it).
-  // Victims are always fully checkpointed, so a chain that stops at an
-  // unreadable or CRC-failing block is media damage, not a torn log tail.
-  ChainEnd end = ChainEnd::kNone;
-  std::vector<ParsedPartial> chain = ParseSegmentChain(seg, 0, sb_.segment_blocks, 0, &end);
+  // (the chain of partial writes covers everything ever written to it),
+  // each partial to its place in `seg_buf`, before any liveness check reads
+  // an inode. Victims are always fully checkpointed, so a chain that stops
+  // at an unreadable or CRC-failing block is media damage, not a torn log
+  // tail.
+  const uint32_t bs = sb_.block_size;
+  std::vector<std::pair<uint32_t, SegmentSummary>> partials;  // (offset, summary)
+  SegmentChain chain = Chain(seg, 0, sb_.segment_blocks);
+  while (chain.Next() &&
+         chain.ReadPayload(seg_buf.subspan(size_t{chain.offset() + 1} * bs)).ok()) {
+    partials.emplace_back(chain.offset(), chain.summary());
+  }
+  ChainEnd end = chain.end();
   if (end == ChainEnd::kSummaryUnreadable || end == ChainEnd::kPayloadUnreadable ||
       end == ChainEnd::kPayloadCrc) {
     *media_damage = true;
   }
-  for (ParsedPartial& p : chain) {
-    stats_.clean_read_bytes += (1 + p.summary.entries.size()) * uint64_t{sb_.block_size};
-    for (size_t i = 0; i < p.summary.entries.size(); i++) {
-      const SummaryEntry& entry = p.summary.entries[i];
-      BlockNo addr = sb_.SegmentBase(seg) + p.offset + 1 + i;
-      std::span<const uint8_t> content(p.payload.data() + i * sb_.block_size, sb_.block_size);
+  for (const auto& [offset, summary] : partials) {
+    stats_.clean_read_bytes += (1 + summary.entries.size()) * uint64_t{bs};
+    for (size_t i = 0; i < summary.entries.size(); i++) {
+      const SummaryEntry& entry = summary.entries[i];
+      BlockNo addr = sb_.SegmentBase(seg) + offset + 1 + i;
+      std::span<const uint8_t> content = seg_buf.subspan((offset + 1 + i) * bs, bs);
       if (entry.kind == BlockKind::kDirLog) {
         continue;
       }
       LFS_ASSIGN_OR_RETURN(uint32_t live, LiveBytes(entry, addr, content));
       if (live > 0) {
-        out->push_back(
-            LiveBlock{entry, addr, std::vector<uint8_t>(content.begin(), content.end())});
+        out->push_back(LiveBlock{entry, addr, content});
       }
     }
   }
@@ -293,6 +299,7 @@ Status LfsFileSystem::CollectLiveBlocksWhole(SegNo seg, std::vector<LiveBlock>* 
 
 Result<uint32_t> LfsFileSystem::CollectLiveBlocksSparse(SegNo seg, uint32_t start,
                                                         uint32_t max_blocks, SegNo drain_src,
+                                                        std::span<uint8_t> seg_buf,
                                                         std::vector<LiveBlock>* out,
                                                         bool* media_damage) {
   // The paper's untried variant: read only the summary blocks, decide
@@ -350,7 +357,8 @@ Result<uint32_t> LfsFileSystem::CollectLiveBlocksSparse(SegNo seg, uint32_t star
       j++;
     }
     uint64_t run = j - i;
-    std::vector<uint8_t> buf(run * bs);
+    std::span<uint8_t> buf =
+        seg_buf.subspan((candidates[i].addr - sb_.SegmentBase(seg)) * bs, run * bs);
     if (!DeviceRead(candidates[i].addr, run, buf).ok()) {
       *media_damage = true;
       for (size_t k = i; k < j; k++) {
@@ -361,8 +369,7 @@ Result<uint32_t> LfsFileSystem::CollectLiveBlocksSparse(SegNo seg, uint32_t star
     }
     stats_.clean_read_bytes += run * bs;
     for (size_t k = i; k < j; k++) {
-      candidates[k].content.assign(buf.begin() + static_cast<long>((k - i) * bs),
-                                   buf.begin() + static_cast<long>((k - i + 1) * bs));
+      candidates[k].content = buf.subspan((k - i) * bs, bs);
     }
     i = j;
   }
@@ -380,7 +387,7 @@ Result<uint32_t> LfsFileSystem::CollectLiveBlocksSparse(SegNo seg, uint32_t star
   }
   for (size_t i = 0; i < candidates.size(); i++) {
     if (!drop[i]) {
-      out->push_back(std::move(candidates[i]));
+      out->push_back(candidates[i]);
     }
   }
   bool walked_to_end =
@@ -461,6 +468,19 @@ Result<uint32_t> LfsFileSystem::CleanerPass() {
   std::vector<VictimPlan> plans;
   plans.reserve(chosen.size());
 
+  // A victim with live bytes reads into a segment-sized buffer of its own,
+  // and its LiveBlocks point there until the migration below. The buffers
+  // are reused across passes; the list is sized before any LiveBlock points
+  // into it.
+  if (victim_bufs_.size() < chosen.size()) {
+    victim_bufs_.resize(chosen.size());
+  }
+  size_t bufs_taken = 0;
+  auto take_buf = [&]() -> std::span<uint8_t> {
+    std::vector<uint8_t>& buf = victim_bufs_[bufs_taken++];
+    buf.resize(sb_.segment_bytes());
+    return buf;
+  };
   std::vector<LiveBlock> live_blocks;
   for (SegNo seg : chosen) {
     VictimPlan plan;
@@ -479,8 +499,8 @@ Result<uint32_t> LfsFileSystem::CleanerPass() {
       size_t before = live_blocks.size();
       Result<uint32_t> stop =
           CollectLiveBlocksSparse(seg, usage_.compact_cursor(seg),
-                                  cfg_.partial_compaction_max_blocks, seg, &live_blocks,
-                                  &media_damage);
+                                  cfg_.partial_compaction_max_blocks, seg, take_buf(),
+                                  &live_blocks, &media_damage);
       if (!stop.ok()) {
         return cleanup(Result<uint32_t>(stop.status()));
       }
@@ -502,10 +522,11 @@ Result<uint32_t> LfsFileSystem::CleanerPass() {
       continue;
     } else {
       Status collect = cfg_.cleaner_read_live_blocks_only
-                           ? CollectLiveBlocksSparse(seg, 0, UINT32_MAX, kNilSeg, &live_blocks,
-                                                     &media_damage)
+                           ? CollectLiveBlocksSparse(seg, 0, UINT32_MAX, kNilSeg, take_buf(),
+                                                     &live_blocks, &media_damage)
                                  .status()
-                           : CollectLiveBlocksWhole(seg, &live_blocks, &media_damage);
+                           : CollectLiveBlocksWhole(seg, take_buf(), &live_blocks,
+                                                    &media_damage);
       if (!collect.ok()) {
         return cleanup(Result<uint32_t>(collect));
       }
@@ -547,8 +568,8 @@ Result<uint32_t> LfsFileSystem::CleanerPass() {
                        return a.entry.mtime < b.entry.mtime;
                      });
   }
-  for (LiveBlock& lb : live_blocks) {
-    Status mig = MigrateLiveBlock(lb.entry, lb.addr, std::move(lb.content), lb.drain_src);
+  for (const LiveBlock& lb : live_blocks) {
+    Status mig = MigrateLiveBlock(lb.entry, lb.addr, lb.content, lb.drain_src);
     if (!mig.ok()) {
       return cleanup(Result<uint32_t>(mig));
     }

@@ -42,7 +42,8 @@ Status LfsFileSystem::VerifyLogBlockCrcs(BlockNo addr, uint64_t count) const {
   std::vector<uint8_t> payload;
   while (chain.Next() && chain.payload_addr() < addr + count) {
     if (chain.payload_addr() + chain.payload_blocks() > addr) {
-      Status st = chain.ReadPayload(&payload);
+      payload.resize(size_t{chain.payload_blocks()} * sb_.block_size);
+      Status st = chain.ReadPayload(payload);
       if (st.code() == StatusCode::kCorruption) {
         stats_.read_crc_failures++;
       }
@@ -132,7 +133,7 @@ void LfsFileSystem::MarkInodeDirty(InodeNum ino) {
 }
 
 void LfsFileSystem::StageBlock(InodeNum ino, FileMap* fm, uint64_t fbn,
-                               std::vector<uint8_t> block) {
+                               std::span<const uint8_t> block) {
   assert(block.size() == sb_.block_size);
   // The flush finds staged blocks through dirty_inodes_. An inode leaves the
   // set only once the flush has taken its staged blocks or its map is
@@ -140,14 +141,17 @@ void LfsFileSystem::StageBlock(InodeNum ino, FileMap* fm, uint64_t fbn,
   if (fm->staged.empty()) {
     MarkInodeDirty(ino);
   }
-  if (fm->staged.insert_or_assign(fbn, std::move(block)).second) {
+  // A block already staged is overwritten in place.
+  auto [it, fresh] = fm->staged.try_emplace(fbn);
+  it->second.assign(block.begin(), block.end());
+  if (fresh) {
     dirty_count_++;
   }
 }
 
 Result<LfsFileSystem::FileMap*> LfsFileSystem::GetFileMap(InodeNum ino) {
   // May run under the shared fs lock (ReadAt, Stat, lookups), so structural
-  // access to the shard map is serialized by the shard mutex; std::map node
+  // access to the shard map is serialized by the shard mutex; its node
   // stability keeps the returned pointer valid after the mutex drops. Two
   // shared holders may both load the map from disk; try_emplace keeps the
   // first.
@@ -303,17 +307,20 @@ Status LfsFileSystem::WriteAtSlice(InodeNum ino, uint64_t offset, std::span<cons
   fm->tree.Grow(new_blocks_total);
 
   uint64_t staged = 0;
+  std::vector<uint8_t> patched;
   while (*pos < end) {
     uint64_t fbn = *pos / bs;
     uint32_t in_block = static_cast<uint32_t>(*pos % bs);
     uint32_t chunk = static_cast<uint32_t>(std::min<uint64_t>(bs - in_block, end - *pos));
-    std::vector<uint8_t> block(bs);
+    std::span<const uint8_t> block = data.subspan(*pos - offset, chunk);
     if (chunk != bs) {
       // Partial-block write: read-modify-write against cache or disk.
-      LFS_RETURN_IF_ERROR(ReadFileBlock(fm, fbn, block));
+      patched.resize(bs);
+      LFS_RETURN_IF_ERROR(ReadFileBlock(fm, fbn, patched));
+      std::memcpy(patched.data() + in_block, block.data(), chunk);
+      block = patched;
     }
-    std::memcpy(block.data() + in_block, data.data() + (*pos - offset), chunk);
-    StageBlock(ino, fm, fbn, std::move(block));
+    StageBlock(ino, fm, fbn, block);
     *pos += chunk;
     fm->inode.size = std::max(fm->inode.size, *pos);
     // A slice stages at most a buffer's worth (its reservation) and ends on
@@ -401,7 +408,7 @@ Status LfsFileSystem::TruncateLocked(InodeNum ino, uint64_t new_size) {
     }
     ShrinkFileMap(fm, BlockCountFor(new_size));
     if (!boundary.empty()) {
-      StageBlock(ino, fm, new_size / bs, std::move(boundary));
+      StageBlock(ino, fm, new_size / bs, boundary);
     }
     if (new_size == 0) {
       // Truncation to zero bumps the file version (Section 3.3): all old log
@@ -458,8 +465,7 @@ Status LfsFileSystem::FlushDirLog() {
     SummaryEntry entry{BlockKind::kDirLog, kNilInode, 0, 0};
     // Dirlog blocks are never live for the cleaner: they only matter during
     // roll-forward over the post-checkpoint log tail.
-    LFS_RETURN_IF_ERROR(writer_.Append(entry, std::move(block), clock_.Now(),
-                                       /*live_bytes=*/0).status());
+    LFS_RETURN_IF_ERROR(writer_.Append(entry, block, clock_.Now(), /*live_bytes=*/0).status());
     batch.clear();
     batch_bytes = header;
     return OkStatus();
@@ -491,11 +497,10 @@ Status LfsFileSystem::FlushFileMetadata() {
     }
     BlockTree& tree = fm->tree;
     // Appends a fresh copy of a pointer block and debits the old one.
-    auto append = [&](BlockKind kind, uint64_t index, std::vector<uint8_t> block,
+    auto append = [&](BlockKind kind, uint64_t index, std::span<const uint8_t> block,
                       BlockNo* addr) -> Status {
       SummaryEntry entry{kind, ino, index, fm->inode.version};
-      LFS_ASSIGN_OR_RETURN(BlockNo fresh,
-                           writer_.Append(entry, std::move(block), fm->inode.mtime, bs));
+      LFS_ASSIGN_OR_RETURN(BlockNo fresh, writer_.Append(entry, block, fm->inode.mtime, bs));
       DebitLogBlock(*addr);
       *addr = fresh;
       return OkStatus();
@@ -535,8 +540,7 @@ Status LfsFileSystem::FlushFileMetadata() {
     SummaryEntry entry{BlockKind::kInodeBlock, todo[i], 0, 0};
     LFS_ASSIGN_OR_RETURN(
         BlockNo addr,
-        writer_.Append(entry, std::move(block), mtime,
-                       static_cast<uint32_t>(group * kInodeSlotSize)));
+        writer_.Append(entry, block, mtime, static_cast<uint32_t>(group * kInodeSlotSize)));
     for (size_t s = 0; s < group; s++) {
       InodeNum ino = todo[i + s];
       ImapEntry old = imap_.Get(ino);
@@ -579,8 +583,7 @@ Status LfsFileSystem::FlushDirtyDataInner() {
   for (auto& [fm, blocks] : batch) {
     for (auto& [fbn, data] : blocks) {
       SummaryEntry entry{BlockKind::kData, fm->inode.ino, fbn, fm->inode.version};
-      LFS_ASSIGN_OR_RETURN(BlockNo addr,
-                           writer_.Append(entry, std::move(data), fm->inode.mtime, bs));
+      LFS_ASSIGN_OR_RETURN(BlockNo addr, writer_.Append(entry, data, fm->inode.mtime, bs));
       DebitLogBlock(fm->tree.blocks[fbn]);
       fm->tree.blocks[fbn] = addr;
       fm->tree.MarkDirty(fbn);

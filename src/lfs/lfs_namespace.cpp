@@ -34,8 +34,8 @@ constexpr int kVerifyRetries = 64;
 
 Result<Directory*> LfsFileSystem::GetDirectory(InodeNum dir_ino) {
   // May run under the shared fs lock (lookups, ReadDir), so the map lookup
-  // and the FileMap's `dir` go through the shard mutex. std::map nodes are
-  // stable and a loaded Directory stays with its map: the returned pointer
+  // and the FileMap's `dir` go through the shard mutex. The shard's records
+  // never move and a loaded Directory stays with its map: the returned pointer
   // outlives the lock. Two shared holders may both load the directory; the
   // first to set `dir` wins.
   InodeTableShard& shard = TableShard(dir_ino);
@@ -96,7 +96,7 @@ Result<std::pair<InodeNum, std::string>> LfsFileSystem::ResolveParent(std::strin
 
 Status LfsFileSystem::WriteDirBlock(InodeNum dir_ino, const Directory& dir, uint64_t fbn) {
   LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(dir_ino));
-  StageBlock(dir_ino, fm, fbn, std::vector<uint8_t>(dir.block(fbn).begin(), dir.block(fbn).end()));
+  StageBlock(dir_ino, fm, fbn, dir.block(fbn));
   fm->tree.Grow(dir.block_count());
   fm->inode.size = std::max(fm->inode.size, dir.block_count() * sb_.block_size);
   fm->inode.mtime = clock_.Tick();

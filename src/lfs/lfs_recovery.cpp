@@ -36,17 +36,18 @@ SegmentChain LfsFileSystem::Chain(SegNo seg, uint32_t start_offset,
 }
 
 std::vector<LfsFileSystem::ParsedPartial> LfsFileSystem::ParseSegmentChain(
-    SegNo seg, uint32_t start_offset, uint32_t stop_offset, uint64_t min_seq, ChainEnd* end) {
+    SegNo seg, uint32_t start_offset, uint32_t stop_offset, uint64_t min_seq) {
   std::vector<ParsedPartial> out;
   SegmentChain chain = Chain(seg, start_offset, stop_offset);
   std::vector<uint8_t> payload;
-  while (chain.Next() && chain.ReadPayload(&payload).ok()) {
+  while (chain.Next()) {
+    payload.resize(size_t{chain.payload_blocks()} * sb_.block_size);
+    if (!chain.ReadPayload(payload).ok()) {
+      break;
+    }
     if (chain.summary().seq >= min_seq) {
       out.push_back(ParsedPartial{seg, chain.offset(), chain.summary(), std::move(payload)});
     }
-  }
-  if (end != nullptr) {
-    *end = chain.end();
   }
   return out;
 }

@@ -105,7 +105,7 @@ uint32_t SegmentWriter::ClassifyLog(const SummaryEntry& entry, uint64_t mtime,
   return idx;
 }
 
-Result<BlockNo> SegmentWriter::Append(const SummaryEntry& entry, std::vector<uint8_t> data,
+Result<BlockNo> SegmentWriter::Append(const SummaryEntry& entry, std::span<const uint8_t> data,
                                       uint64_t mtime, uint32_t live_bytes,
                                       uint32_t cold_hint) {
   if (data.size() != sb_->block_size) {
@@ -131,20 +131,24 @@ Result<BlockNo> SegmentWriter::Append(const SummaryEntry& entry, std::vector<uin
   // respect to each other (multi-log with concurrent callers).
   std::lock_guard<std::mutex> lk(log.mu);
   LFS_RETURN_IF_ERROR(EnsureRoom(log, log_index));
-  BlockNo summary_addr = sb_->SegmentBase(log.cur_seg) + log.cur_offset;
-  BlockNo addr = summary_addr + 1 + log.pending.size();
+  const uint32_t bs = sb_->block_size;
+  if (log.buf.empty()) {
+    // The largest partial EnsureRoom lets a segment hold.
+    log.buf.resize(size_t{std::min(sb_->segment_blocks, sb_->max_summary_entries() + 1)} * bs);
+  }
+  const size_t slot = 1 + log.pending.size();
+  BlockNo addr = sb_->SegmentBase(log.cur_seg) + log.cur_offset + slot;
   if (log.pending.empty()) {
     log.partial_youngest = 0;
   }
   log.partial_youngest = std::max(log.partial_youngest, mtime);
-  Pending pending{entry, std::move(data)};
-  pending.entry.mtime = mtime;  // per-block age travels in the summary
-  log.pending.push_back(std::move(pending));
+  std::memcpy(log.buf.data() + slot * bs, data.data(), bs);
+  log.pending.push_back(entry);
+  log.pending.back().mtime = mtime;  // per-block age travels in the summary
   usage_->AddLive(log.cur_seg, live_bytes, mtime);
   usage_->SetWriteSeq(log.cur_seg, next_seq_.load());
 
   // Traffic accounting (Table 4 composition; write-cost numerator).
-  const uint32_t bs = sb_->block_size;
   stats_->log_bytes_by_kind[static_cast<size_t>(entry.kind)] += bs;
   if (cleaning_) {
     stats_->clean_write_bytes += bs;
@@ -164,23 +168,15 @@ Status SegmentWriter::FlushLog(Log& log) {
   const uint32_t bs = sb_->block_size;
   const uint32_t n = static_cast<uint32_t>(log.pending.size());
 
-  // Assemble [summary | payload...] and issue as one sequential write.
-  std::vector<uint8_t> io(size_t{1 + n} * bs);
-  uint32_t crc = Crc32Init();
-  for (uint32_t i = 0; i < n; i++) {
-    std::memcpy(io.data() + size_t{1 + i} * bs, log.pending[i].data.data(), bs);
-    crc = Crc32Update(crc, log.pending[i].data);
-  }
+  // [summary | payload...] goes out as one sequential write of the buffer.
+  std::span<uint8_t> io(log.buf.data(), size_t{1 + n} * bs);
   SegmentSummary summary;
   summary.seq = next_seq_++;
   summary.timestamp = timestamp_;
   summary.youngest_mtime = log.partial_youngest;
-  summary.payload_crc = Crc32Finish(crc);
-  summary.entries.reserve(n);
-  for (const Pending& p : log.pending) {
-    summary.entries.push_back(p.entry);
-  }
-  summary.EncodeTo(std::span<uint8_t>(io.data(), bs));
+  summary.payload_crc = Crc32(io.subspan(bs));
+  summary.entries = log.pending;
+  summary.EncodeTo(io.first(bs));
 
   BlockNo start = sb_->SegmentBase(log.cur_seg) + log.cur_offset;
   Status write_st = RetryWithBackoff(retry_, clock_, &stats_->io_retries,
@@ -225,12 +221,11 @@ bool SegmentWriter::ReadBuffered(BlockNo addr, std::span<uint8_t> out) const {
     if (log.pending.empty() || log.cur_seg == kNilSeg) {
       continue;
     }
-    BlockNo first = sb_->SegmentBase(log.cur_seg) + log.cur_offset + 1;
-    if (addr < first || addr >= first + log.pending.size()) {
+    BlockNo summary = sb_->SegmentBase(log.cur_seg) + log.cur_offset;
+    if (addr <= summary || addr > summary + log.pending.size()) {
       continue;
     }
-    const std::vector<uint8_t>& data = log.pending[addr - first].data;
-    std::memcpy(out.data(), data.data(), out.size());
+    std::memcpy(out.data(), log.buf.data() + (addr - summary) * sb_->block_size, out.size());
     return true;
   }
   return false;

@@ -31,6 +31,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "src/disk/block_device.h"
@@ -204,14 +205,14 @@ class SegmentWriter {
   // looking cold); `live_bytes` is the amount this block adds to its
   // segment's live count (block size for most kinds, the used slot bytes for
   // inode blocks, 0 for dirlog blocks which are dead once checkpointed).
-  // Returns the assigned disk address. The data is buffered; it is durable
-  // only after the enclosing partial write is emitted.
+  // Returns the assigned disk address. The data is copied into the open
+  // partial's buffer; it is durable only after the partial write is emitted.
   //
   // `cold_hint` (multi-log only) is the migration-ladder directive: the
   // cleaner passes 1 + the log it wants the block in (clamped to the coldest
   // log that exists). 0 means no hint — the age heuristic decides.
-  Result<BlockNo> Append(const SummaryEntry& entry, std::vector<uint8_t> data, uint64_t mtime,
-                         uint32_t live_bytes, uint32_t cold_hint = 0);
+  Result<BlockNo> Append(const SummaryEntry& entry, std::span<const uint8_t> data,
+                         uint64_t mtime, uint32_t live_bytes, uint32_t cold_hint = 0);
 
   // Emits the buffered partial writes of every log, if any.
   Status Flush();
@@ -266,11 +267,6 @@ class SegmentWriter {
   }
 
  private:
-  struct Pending {
-    SummaryEntry entry;
-    std::vector<uint8_t> data;
-  };
-
   // One append point: an active segment plus the open partial buffered into
   // it. Log 0 carries metadata (and, in multi-log mode, hot data); higher
   // logs carry progressively colder data.
@@ -282,10 +278,16 @@ class SegmentWriter {
   // instead fenced by the filesystem rwlock: appends only ever run under the
   // exclusive filesystem lock (group commit, cleaner, checkpoint), readers
   // under the shared one.
+  //
+  // `buf` is the open partial as it goes to the device: block 0 for the
+  // summary, block 1 + i for pending[i]'s payload. Allocated on the log's
+  // first Append and reused by every partial after it; a failed device
+  // write leaves it intact for the re-driven flush.
   struct Log {
     SegNo cur_seg = kNilSeg;
     uint32_t cur_offset = 0;  // next free block index within cur_seg
-    std::vector<Pending> pending;  // payload of the open partial (may be empty)
+    std::vector<SummaryEntry> pending;  // entries of the open partial (may be empty)
+    std::vector<uint8_t> buf;
     uint64_t partial_youngest = 0;
     mutable std::mutex mu;
   };

@@ -18,6 +18,10 @@ uint32_t Crc32Init();
 uint32_t Crc32Update(uint32_t state, std::span<const uint8_t> data);
 uint32_t Crc32Finish(uint32_t state);
 
+// The kernel this CPU runs for long inputs: "vpclmulqdq-512",
+// "pclmulqdq-128" or "table".
+const char* Crc32KernelName();
+
 }  // namespace lfs
 
 #endif  // LFS_UTIL_CRC32_H_

@@ -361,11 +361,12 @@ ChainRead WalkChain(BlockDevice* dev, const Superblock& sb, SegNo seg, uint32_t 
                      [dev](BlockNo block, uint64_t count, std::span<uint8_t> data) {
                        return dev->Read(block, count, data);
                      });
-  std::vector<uint8_t> payload;
-  while (chain.Next() && chain.ReadPayload(&payload).ok()) {
+  std::vector<uint8_t> payload(sb.segment_bytes());
+  while (chain.Next() && chain.ReadPayload(payload).ok()) {
     out.offsets.push_back(chain.offset());
     out.seqs.push_back(chain.summary().seq);
-    out.payloads.push_back(payload);
+    out.payloads.emplace_back(payload.begin(),
+                              payload.begin() + size_t{chain.payload_blocks()} * sb.block_size);
   }
   out.end_offset = chain.offset();
   out.end = chain.end();

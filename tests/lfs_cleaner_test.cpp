@@ -2,10 +2,13 @@
 // reclaimed without reads; policies pick the right victims; write-cost
 // accounting matches the definition; post-checkpoint segments are protected.
 
+#include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/lfs/check.h"
 #include "tests/test_util.h"
 
 namespace lfs {
@@ -307,6 +310,95 @@ TEST_F(LfsCleanerTest, StatsTrackTable2Columns) {
   EXPECT_GE(st.AvgCleanedUtilization(), 0.0);
   EXPECT_LE(st.AvgCleanedUtilization(), 1.0);
   EXPECT_GT(st.WriteCost(), 0.99);
+}
+
+// The kinds of the blocks logged in `seg` that one of `files` still uses:
+// its data blocks, its indirect block, and the inode block the inode map
+// names for it. Reads the image as the last checkpoint left it.
+std::set<BlockKind> LiveKindsIn(LfsFileSystem* fs, BlockDevice* disk, SegNo seg,
+                                const std::vector<std::string>& files) {
+  const Superblock& sb = fs->superblock();
+  std::set<BlockNo> data, indirect, inode_blocks;
+  std::vector<uint8_t> block(sb.block_size);
+  for (const std::string& path : files) {
+    InodeNum ino = fs->Lookup(path).value();
+    std::vector<BlockNo> addrs = fs->FileBlockAddresses(ino).value();
+    data.insert(addrs.begin(), addrs.end());
+    ImapEntry e = fs->inode_map().Get(ino);
+    inode_blocks.insert(e.inode_block);
+    EXPECT_OK(disk->Read(e.inode_block, 1, block));
+    indirect.insert(Inode::DecodeSlot(block, e.slot).value().single_indirect);
+  }
+  std::set<BlockKind> live;
+  SegmentChain chain(sb, seg, 0, sb.segment_blocks,
+                     [disk](BlockNo b, uint64_t n, std::span<uint8_t> out) {
+                       return disk->Read(b, n, out);
+                     });
+  while (chain.Next()) {
+    for (uint32_t i = 0; i < chain.payload_blocks(); i++) {
+      BlockKind kind = chain.summary().entries[i].kind;
+      BlockNo addr = chain.payload_addr() + i;
+      if ((kind == BlockKind::kData && data.count(addr) != 0) ||
+          (kind == BlockKind::kIndirect && indirect.count(addr) != 0) ||
+          (kind == BlockKind::kInodeBlock && inode_blocks.count(addr) != 0)) {
+        live.insert(kind);
+      }
+    }
+  }
+  return live;
+}
+
+TEST_F(LfsCleanerTest, OnePassMovesDataIndirectAndInodeBlocksOfSeveralVictims) {
+  // Each victim's live blocks are read into a buffer of its own and migrate
+  // from there, after every victim of the pass has been read: one pass over
+  // several victims, each holding live data, an indirect block and an inode
+  // block, through both read paths.
+  for (bool live_only : {false, true}) {
+    SCOPED_TRACE(live_only ? "live blocks only" : "whole segments");
+    LfsConfig cfg = SmallConfig();
+    cfg.cleaner_read_live_blocks_only = live_only;
+    Init(cfg);
+    // 13 blocks of 1 KB: twelve direct blocks and one behind the indirect
+    // block. Each file is synced with a 2-block file deleted below, which
+    // leaves every victim of the pass holding all three kinds.
+    std::vector<std::string> kept;
+    for (int i = 0; i < 8; i++) {
+      kept.push_back("/big" + std::to_string(i));
+      ASSERT_OK(fs_->WriteFile(kept.back(), TestContent(i, 13 * 1024 - 100)));
+      ASSERT_OK(fs_->WriteFile("/junk" + std::to_string(i), TestContent(100 + i, 2 * 1024)));
+      ASSERT_OK(fs_->Sync());
+    }
+    for (int i = 0; i < 8; i++) {
+      ASSERT_OK(fs_->Unlink("/junk" + std::to_string(i)));
+    }
+    ASSERT_OK(fs_->Sync());
+
+    std::vector<SegNo> victims = fs_->SelectSegmentsToClean(cfg.segments_per_pass);
+    const std::set<BlockKind> all = {BlockKind::kData, BlockKind::kIndirect,
+                                     BlockKind::kInodeBlock};
+    int full_victims = 0;
+    for (SegNo seg : victims) {
+      full_victims += LiveKindsIn(fs_.get(), disk_.get(), seg, kept) == all ? 1 : 0;
+    }
+    ASSERT_GE(full_victims, 3);
+    ASSERT_OK_AND_ASSIGN(uint32_t reclaimed, fs_->ForceClean());
+    EXPECT_EQ(reclaimed, victims.size());
+    for (int i = 0; i < 8; i++) {
+      ASSERT_OK_AND_ASSIGN(auto data, fs_->ReadFile(kept[i]));
+      EXPECT_EQ(data, TestContent(i, 13 * 1024 - 100)) << kept[i];
+    }
+    ASSERT_OK(fs_->Unmount());
+    fs_.reset();
+    ASSERT_OK_AND_ASSIGN(CheckReport report, CheckLfsImage(disk_.get()));
+    EXPECT_EQ(report.errors, 0u) << report.Summary();
+    auto fs = LfsFileSystem::Mount(disk_.get(), cfg);
+    ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+    fs_ = std::move(fs).value();
+    for (int i = 0; i < 8; i++) {
+      ASSERT_OK_AND_ASSIGN(auto data, fs_->ReadFile(kept[i]));
+      EXPECT_EQ(data, TestContent(i, 13 * 1024 - 100)) << kept[i];
+    }
+  }
 }
 
 }  // namespace

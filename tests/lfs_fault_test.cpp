@@ -270,6 +270,63 @@ TEST(FaultInjectionTest, CleanerQuarantinesDamagedVictims) {
   EXPECT_EQ(report->quarantined_segments, quarantined.size());
 }
 
+TEST(FaultInjectionTest, FailedPartialWriteIsRedrivenFromItsBuffer) {
+  // The open partial's buffer belongs to its log. While the device refuses
+  // the partial's write, reads of its blocks are served from the buffer;
+  // once the device recovers, the re-driven flush writes the same partial,
+  // at the same place, as a run whose write never failed.
+  LfsConfig cfg = SmallConfig();
+  const std::vector<uint8_t> content = TestContent(9, 3 * cfg.block_size + 100);
+  std::unique_ptr<FaultDisk> disks[2];
+  std::vector<BlockNo> addrs[2];
+  for (int faulty = 0; faulty < 2; faulty++) {
+    disks[faulty] = std::make_unique<FaultDisk>(std::make_unique<MemDisk>(cfg.block_size, 4096));
+    FaultDisk& disk = *disks[faulty];
+    auto fs = std::move(LfsFileSystem::Mkfs(&disk, cfg)).value();
+    const Superblock& sb = fs->superblock();
+    ASSERT_OK(fs->WriteFile("/f", TestContent(8, 2 * cfg.block_size)));
+    ASSERT_OK(fs->Sync());
+    ASSERT_OK(fs->WriteFile("/g", content));
+    if (faulty == 1) {
+      const uint64_t seg_area = uint64_t{sb.nsegments} * sb.segment_blocks;
+      disk.AddLatentError(sb.seg_start, seg_area);
+      EXPECT_EQ(fs->Sync().code(), StatusCode::kIoError);
+      EXPECT_GT(fs->stats().io_retry_failures, 0u);
+      ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> got, fs->ReadFile("/g"));
+      EXPECT_EQ(got, content);
+      disk.ClearLatentError(sb.seg_start, seg_area);
+    }
+    ASSERT_OK(fs->Sync());
+    ASSERT_OK_AND_ASSIGN(InodeNum ino, fs->Lookup("/g"));
+    ASSERT_OK_AND_ASSIGN(addrs[faulty], fs->FileBlockAddresses(ino));
+    ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> got, fs->ReadFile("/g"));
+    EXPECT_EQ(got, content);
+    ASSERT_OK(fs->Unmount());
+  }
+  ASSERT_EQ(addrs[0], addrs[1]);
+
+  // Find the partial holding /g's first block, then compare it whole.
+  Status primary;
+  ASSERT_OK_AND_ASSIGN(Superblock sb, ReadSuperblock(disks[0].get(), &primary));
+  SegmentChain chain(sb, sb.SegOf(addrs[0][0]), 0, sb.segment_blocks,
+                     [&](BlockNo b, uint64_t n, std::span<uint8_t> out) {
+                       return disks[0]->Read(b, n, out);
+                     });
+  while (chain.Next() && chain.payload_addr() + chain.payload_blocks() <= addrs[0][0]) {
+  }
+  ASSERT_LE(chain.payload_addr(), addrs[0][0]);
+  const uint64_t blocks = 1 + chain.payload_blocks();
+  std::vector<uint8_t> partial[2];
+  for (int faulty = 0; faulty < 2; faulty++) {
+    partial[faulty].resize(blocks * sb.block_size);
+    ASSERT_OK(disks[faulty]->Read(chain.payload_addr() - 1, blocks, partial[faulty]));
+  }
+  EXPECT_EQ(partial[0], partial[1]);
+
+  ASSERT_OK_AND_ASSIGN(CheckReport report, CheckLfsImage(disks[1].get()));
+  EXPECT_EQ(report.errors, 0u) << report.Summary();
+}
+
 TEST(FaultInjectionTest, DoubleCheckpointFailureEntersDegradedReadOnly) {
   LfsConfig cfg = SmallConfig();
   FaultDisk disk(std::make_unique<MemDisk>(cfg.block_size, 4096));

@@ -237,11 +237,11 @@ static_assert(std::size(kChainEndNames) == static_cast<size_t>(ChainEnd::kPayloa
 
 void DumpSegmentChain(const Image& img, SegNo seg) {
   SegmentChain chain = img.Chain(seg);
-  std::vector<uint8_t> payload;
+  std::vector<uint8_t> payload(img.sb.segment_bytes());
   while (chain.Next()) {
     const SegmentSummary& sum = chain.summary();
     const char* crc_state = "payload crc ok";
-    if (!chain.ReadPayload(&payload).ok()) {
+    if (!chain.ReadPayload(payload).ok()) {
       crc_state = chain.end() == ChainEnd::kPayloadCrc ? "payload crc BAD" : "payload UNREADABLE";
     }
     std::printf("offset %4u: partial write seq %llu, %zu blocks, time %llu, %s\n",
@@ -264,7 +264,7 @@ void DumpCrcs(const Image& img) {
     return;
   }
   std::vector<SegUsageEntry> usage = LoadUsageEntries(img);
-  std::vector<uint8_t> payload;
+  std::vector<uint8_t> payload(img.sb.segment_bytes());
   std::printf("%-6s %-11s %8s %8s %8s  %s\n", "seg", "state", "partials", "crc ok",
               "crc bad", "notes");
   for (SegNo seg = 0; seg < img.sb.nsegments; seg++) {
@@ -275,7 +275,7 @@ void DumpCrcs(const Image& img) {
     SegmentChain chain = img.Chain(seg);
     while (chain.Next()) {
       partials++;
-      ok += chain.ReadPayload(&payload).ok() ? 1 : 0;
+      ok += chain.ReadPayload(payload).ok() ? 1 : 0;
     }
     std::string notes;
     if (chain.end() == ChainEnd::kSummaryUnreadable || chain.end() == ChainEnd::kPayloadUnreadable ||
