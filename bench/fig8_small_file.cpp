@@ -26,6 +26,7 @@ namespace {
 
 const int kNumFiles = static_cast<int>(SmokePick(10000, 500));
 constexpr int kFileSize = 1024;
+const uint64_t kTotalBytes = static_cast<uint64_t>(kNumFiles) * kFileSize;
 const uint64_t kDiskBytes = SmokePick(300, 64) * 1024 * 1024;
 
 struct PhaseResult {
@@ -77,8 +78,7 @@ int main() {
 
   std::vector<InodeNum> lfs_inos(kNumFiles);
   PhaseResult lfs_create = Measure(
-      lfs_inst.disk.get(), cpu, LfsElapsed, kNumFiles,
-      uint64_t{kNumFiles} * kFileSize, [&] {
+      lfs_inst.disk.get(), cpu, LfsElapsed, kNumFiles, kTotalBytes, [&] {
         for (int i = 0; i < kNumFiles; i++) {
           auto ino = lfs_inst.fs->Create("/bench/f" + std::to_string(i));
           Check(ino.status());
@@ -89,8 +89,7 @@ int main() {
       });
   std::vector<uint8_t> buf(kFileSize);
   PhaseResult lfs_read = Measure(
-      lfs_inst.disk.get(), cpu, LfsElapsed, kNumFiles,
-      uint64_t{kNumFiles} * kFileSize, [&] {
+      lfs_inst.disk.get(), cpu, LfsElapsed, kNumFiles, kTotalBytes, [&] {
         for (int i = 0; i < kNumFiles; i++) {
           Check(lfs_inst.fs->ReadAt(lfs_inos[i], 0, buf).status());
         }
@@ -110,8 +109,7 @@ int main() {
 
   std::vector<InodeNum> ffs_inos(kNumFiles);
   PhaseResult ffs_create = Measure(
-      ffs_inst.disk.get(), cpu, FfsElapsed, kNumFiles,
-      uint64_t{kNumFiles} * kFileSize, [&] {
+      ffs_inst.disk.get(), cpu, FfsElapsed, kNumFiles, kTotalBytes, [&] {
         for (int i = 0; i < kNumFiles; i++) {
           auto ino = ffs_inst.fs->Create("/bench/f" + std::to_string(i));
           Check(ino.status());
@@ -120,8 +118,7 @@ int main() {
         }
       });
   PhaseResult ffs_read = Measure(
-      ffs_inst.disk.get(), cpu, FfsElapsed, kNumFiles,
-      uint64_t{kNumFiles} * kFileSize, [&] {
+      ffs_inst.disk.get(), cpu, FfsElapsed, kNumFiles, kTotalBytes, [&] {
         for (int i = 0; i < kNumFiles; i++) {
           Check(ffs_inst.fs->ReadAt(ffs_inos[i], 0, buf).status());
         }

@@ -119,12 +119,13 @@ SelectionResult BenchSelection(uint32_t target_segments, CleaningPolicy policy,
   SelectionResult r;
   r.nsegments = nsegs;
   r.policy = policy_name;
-  r.victims = static_cast<uint32_t>(fs->SelectSegmentsToClean(16).size());
+  const GovernorDecision decision{cfg.policy, cfg.policy};
+  r.victims = static_cast<uint32_t>(fs->SelectSegmentsToClean(16, decision).size());
 
   const int indexed_iters = static_cast<int>(SmokePick(2000, 200));
   auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < indexed_iters; i++) {
-    (void)fs->SelectSegmentsToClean(16);
+    (void)fs->SelectSegmentsToClean(16, decision);
   }
   r.indexed_us = SecondsSince(t0) * 1e6 / indexed_iters;
 

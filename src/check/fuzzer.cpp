@@ -201,9 +201,9 @@ Workload FuzzWorkload(uint64_t seed, const FuzzOptions& options) {
         w.ops.push_back(std::move(op));
       }
     } else if (r < 94) {
-      w.ops.push_back({OpKind::kSync});
+      w.ops.push_back({.kind = OpKind::kSync});
     } else {
-      w.ops.push_back({OpKind::kClean});  // cleaner activation mid-trace
+      w.ops.push_back({.kind = OpKind::kClean});  // cleaner activation mid-trace
     }
   }
   return w;

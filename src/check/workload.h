@@ -46,10 +46,12 @@ enum class OpKind : uint8_t {
   kClean,    // one forced cleaner pass
 };
 
+// Every member has a default, so an op is written with only the fields it
+// uses: {.kind = OpKind::kCreate, .a = path}.
 struct Op {
   OpKind kind = OpKind::kSync;
-  std::string a;
-  std::string b;
+  std::string a{};
+  std::string b{};
   uint64_t offset = 0;
   uint64_t length = 0;
   uint64_t seed = 0;

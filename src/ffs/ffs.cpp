@@ -232,7 +232,8 @@ Status FfsFileSystem::FlushPointers(FileMap* fm) {
   const uint32_t group = GroupOfInode(fm->inode.ino);
   // Pointer blocks live at stable addresses, allocated on first write, so
   // these are in-place updates — exactly the metadata traffic FFS pays.
-  auto write = [&](BlockNo* addr, std::vector<uint8_t> block) -> Status {
+  std::vector<uint8_t> block(sb_.block_size);
+  auto write = [&](BlockNo* addr) -> Status {
     if (*addr == kNilBlock) {
       LFS_ASSIGN_OR_RETURN(*addr, AllocBlock(group, kNilBlock));
     }
@@ -241,12 +242,14 @@ Status FfsFileSystem::FlushPointers(FileMap* fm) {
     return OkStatus();
   };
   for (uint64_t i : tree.dirty_ind) {
-    LFS_RETURN_IF_ERROR(write(&tree.ind_addrs[i], tree.EncodeIndirect(i)));
+    tree.EncodeIndirect(i, block);
+    LFS_RETURN_IF_ERROR(write(&tree.ind_addrs[i]));
   }
   // The root is written back with every pointer flush of a file that has
   // one, changed or not.
   if (tree.ind_addrs.size() > 1) {
-    LFS_RETURN_IF_ERROR(write(&tree.dind_addr, tree.EncodeRoot()));
+    tree.EncodeRoot(block);
+    LFS_RETURN_IF_ERROR(write(&tree.dind_addr));
   }
   tree.dirty_ind.clear();
   tree.dind_dirty = false;

@@ -80,7 +80,6 @@ class FfsFileSystem : public FileSystem {
   const FfsSuperblock& superblock() const { return sb_; }
   const FfsStats& stats() const { return stats_; }
   const obs::FsObs& obs() const { return obs_; }
-  obs::FsObs& mutable_obs() { return obs_; }
   LogicalClock& clock() { return clock_; }
   uint64_t free_data_blocks() const { return free_data_blocks_; }
 

@@ -1,15 +1,12 @@
 #include "src/ffs/ffs_layout.h"
 
-#include <cstring>
-
 #include "src/util/codec.h"
 #include "src/util/crc32.h"
 
 namespace lfs::ffs {
 
 void FfsSuperblock::EncodeTo(std::span<uint8_t> block) const {
-  std::vector<uint8_t> buf;
-  Encoder enc(&buf);
+  Encoder enc(block);
   enc.PutU32(kFfsMagic);
   enc.PutU32(block_size);
   enc.PutU64(total_blocks);
@@ -18,9 +15,8 @@ void FfsSuperblock::EncodeTo(std::span<uint8_t> block) const {
   enc.PutU32(inodes_per_group);
   enc.PutU32(inode_table_blocks);
   enc.PutU32(data_start);
-  enc.PutU32(Crc32(buf));
-  enc.PadTo(block.size());
-  std::memcpy(block.data(), buf.data(), block.size());
+  enc.PutU32(Crc32(enc.written()));
+  enc.ZeroRest();
 }
 
 Result<FfsSuperblock> FfsSuperblock::DecodeFrom(std::span<const uint8_t> block) {
@@ -74,9 +70,7 @@ Result<FfsSuperblock> FfsSuperblock::Compute(uint32_t block_size, uint64_t total
 }
 
 void FfsInode::EncodeTo(std::span<uint8_t> slot) const {
-  std::vector<uint8_t> buf;
-  buf.reserve(kFfsInodeSize);
-  Encoder enc(&buf);
+  Encoder enc(slot);
   enc.PutU32(ino);
   enc.PutU8(static_cast<uint8_t>(type));
   enc.PutU16(nlink);
@@ -87,8 +81,7 @@ void FfsInode::EncodeTo(std::span<uint8_t> slot) const {
   }
   enc.PutU64(single_indirect);
   enc.PutU64(double_indirect);
-  enc.PadTo(kFfsInodeSize);
-  std::memcpy(slot.data(), buf.data(), kFfsInodeSize);
+  enc.ZeroRest();
 }
 
 Result<FfsInode> FfsInode::DecodeFrom(std::span<const uint8_t> slot) {

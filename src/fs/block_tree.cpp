@@ -14,17 +14,14 @@ uint64_t IndirectCount(uint64_t n, uint32_t ppb) {
   return n > kNumDirect ? (n - kNumDirect + ppb - 1) / ppb : 0;
 }
 
-// One pointer block holding addrs[first, first + ppb), kNilBlock past the
-// end of `addrs`.
-std::vector<uint8_t> EncodePointers(const std::vector<BlockNo>& addrs, uint64_t first,
-                                    uint32_t ppb) {
-  std::vector<uint8_t> block;
-  block.reserve(size_t{ppb} * 8);
-  Encoder enc(&block);
+// Encodes addrs[first, first + ppb) into one pointer block, kNilBlock past
+// the end of `addrs`.
+void EncodePointers(const std::vector<BlockNo>& addrs, uint64_t first, uint32_t ppb,
+                    std::span<uint8_t> out) {
+  Encoder enc(out);
   for (uint64_t i = first; i < first + ppb; i++) {
     enc.PutU64(i < addrs.size() ? addrs[i] : kNilBlock);
   }
-  return block;
 }
 
 // Decodes a pointer block into (*addrs)[first, first + ppb), as far as
@@ -122,12 +119,12 @@ void BlockTree::RewriteIndirect(uint64_t ind) {
   }
 }
 
-std::vector<uint8_t> BlockTree::EncodeIndirect(uint64_t ind) const {
-  return EncodePointers(blocks, kNumDirect + ind * ppb, ppb);
+void BlockTree::EncodeIndirect(uint64_t ind, std::span<uint8_t> out) const {
+  EncodePointers(blocks, kNumDirect + ind * ppb, ppb, out);
 }
 
-std::vector<uint8_t> BlockTree::EncodeRoot() const {
-  return EncodePointers(ind_addrs, 1, ppb);
+void BlockTree::EncodeRoot(std::span<uint8_t> out) const {
+  EncodePointers(ind_addrs, 1, ppb, out);
 }
 
 void BlockTree::StorePointers(std::span<BlockNo, kNumDirect> direct, BlockNo* single,

@@ -62,9 +62,9 @@ struct BlockTree {
   // pointers changed (the cleaner moves a live copy).
   void RewriteIndirect(uint64_t ind);
 
-  // The encoded pointer block of indirect block `ind`, and of the root.
-  std::vector<uint8_t> EncodeIndirect(uint64_t ind) const;
-  std::vector<uint8_t> EncodeRoot() const;
+  // Encodes indirect block `ind`, or the root, into `out` (one block).
+  void EncodeIndirect(uint64_t ind, std::span<uint8_t> out) const;
+  void EncodeRoot(std::span<uint8_t> out) const;
   // Copies the inode-resident addresses into an inode's pointer fields.
   void StorePointers(std::span<BlockNo, kNumDirect> direct, BlockNo* single,
                      BlockNo* dind) const;

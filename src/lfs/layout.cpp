@@ -1,6 +1,5 @@
 #include "src/lfs/layout.h"
 
-#include <cstring>
 #include <string>
 
 #include "src/util/codec.h"
@@ -11,8 +10,7 @@ namespace lfs {
 // --- superblock --------------------------------------------------------------
 
 void Superblock::EncodeTo(std::span<uint8_t> block) const {
-  std::vector<uint8_t> buf;
-  Encoder enc(&buf);
+  Encoder enc(block);
   enc.PutU32(kSuperMagic);
   enc.PutU32(block_size);
   enc.PutU32(segment_blocks);
@@ -25,9 +23,8 @@ void Superblock::EncodeTo(std::span<uint8_t> block) const {
   enc.PutU32(imap_chunks);
   enc.PutU32(usage_chunks);
   enc.PutU64(total_blocks);
-  enc.PutU32(Crc32(buf));
-  enc.PadTo(block.size());
-  std::memcpy(block.data(), buf.data(), block.size());
+  enc.PutU32(Crc32(enc.written()));
+  enc.ZeroRest();
 }
 
 Result<Superblock> Superblock::DecodeFrom(std::span<const uint8_t> block) {
@@ -102,9 +99,7 @@ Result<Superblock> Superblock::Compute(uint32_t block_size, uint64_t total_block
 // --- inode -------------------------------------------------------------------
 
 void Inode::EncodeTo(std::span<uint8_t> slot) const {
-  std::vector<uint8_t> buf;
-  buf.reserve(kInodeSlotSize);
-  Encoder enc(&buf);
+  Encoder enc(slot);
   enc.PutU32(ino);
   enc.PutU8(static_cast<uint8_t>(type));
   enc.PutU16(nlink);
@@ -116,8 +111,7 @@ void Inode::EncodeTo(std::span<uint8_t> slot) const {
   }
   enc.PutU64(single_indirect);
   enc.PutU64(double_indirect);
-  enc.PadTo(kInodeSlotSize);
-  std::memcpy(slot.data(), buf.data(), kInodeSlotSize);
+  enc.ZeroRest();
 }
 
 Result<Inode> Inode::DecodeFrom(std::span<const uint8_t> slot) {
@@ -151,9 +145,7 @@ Result<Inode> Inode::DecodeSlot(std::span<const uint8_t> block, uint32_t slot) {
 // --- segment summary ---------------------------------------------------------
 
 void SegmentSummary::EncodeTo(std::span<uint8_t> block) const {
-  std::vector<uint8_t> buf;
-  buf.reserve(block.size());
-  Encoder enc(&buf);
+  Encoder enc(block);
   enc.PutU32(kSummaryMagic);
   enc.PutU64(seq);
   enc.PutU64(timestamp);
@@ -169,14 +161,9 @@ void SegmentSummary::EncodeTo(std::span<uint8_t> block) const {
     enc.PutU32(e.version);
     enc.PutU64(e.mtime);
   }
-  enc.PadTo(block.size());
-  // CRC over everything except the CRC field itself: zeroed during compute.
-  uint32_t crc = Crc32(buf);
-  buf[36] = static_cast<uint8_t>(crc);
-  buf[37] = static_cast<uint8_t>(crc >> 8);
-  buf[38] = static_cast<uint8_t>(crc >> 16);
-  buf[39] = static_cast<uint8_t>(crc >> 24);
-  std::memcpy(block.data(), buf.data(), block.size());
+  enc.ZeroRest();
+  // CRC over the whole block with the CRC field still zero.
+  Encoder(block.subspan(36, 4)).PutU32(Crc32(block));
 }
 
 Result<SegmentSummary> SegmentSummary::DecodeFrom(std::span<const uint8_t> block) {
@@ -194,10 +181,11 @@ Result<SegmentSummary> SegmentSummary::DecodeFrom(std::span<const uint8_t> block
   if (!dec.ok()) {
     return CorruptionError("segment summary: truncated header");
   }
-  // Verify the block CRC with the CRC field zeroed.
-  std::vector<uint8_t> copy(block.begin(), block.end());
-  copy[36] = copy[37] = copy[38] = copy[39] = 0;
-  if (stored_crc != Crc32(copy)) {
+  // Verify the block CRC with the CRC field read as zero.
+  static constexpr uint8_t kZeroCrcField[4] = {};
+  uint32_t crc = Crc32Update(Crc32Init(), block.first(36));
+  crc = Crc32Update(crc, kZeroCrcField);
+  if (stored_crc != Crc32Finish(Crc32Update(crc, block.subspan(40)))) {
     return CorruptionError("segment summary: bad CRC");
   }
   uint32_t max_entries = static_cast<uint32_t>((block.size() - kSummaryHeaderSize) /
@@ -224,15 +212,12 @@ Result<SegmentSummary> SegmentSummary::DecodeFrom(std::span<const uint8_t> block
 // --- imap / usage entries ------------------------------------------------------
 
 void ImapEntry::EncodeTo(std::span<uint8_t> out) const {
-  std::vector<uint8_t> buf;
-  buf.reserve(kImapEntrySize);
-  Encoder enc(&buf);
+  Encoder enc(out);
   enc.PutU64(inode_block);
   enc.PutU16(slot);
   enc.PutU32(version);
   enc.PutU64(atime);
-  enc.PadTo(kImapEntrySize);
-  std::memcpy(out.data(), buf.data(), kImapEntrySize);
+  enc.ZeroRest();
 }
 
 ImapEntry ImapEntry::DecodeFrom(std::span<const uint8_t> in) {
@@ -246,16 +231,13 @@ ImapEntry ImapEntry::DecodeFrom(std::span<const uint8_t> in) {
 }
 
 void SegUsageEntry::EncodeTo(std::span<uint8_t> out) const {
-  std::vector<uint8_t> buf;
-  buf.reserve(kUsageEntrySize);
-  Encoder enc(&buf);
+  Encoder enc(out);
   enc.PutU32(live_bytes);
   enc.PutU64(last_write);
   enc.PutU8(static_cast<uint8_t>(state));
   enc.PutU8(log_id);
   enc.PutU16(reuse_count);
-  enc.PadTo(kUsageEntrySize);
-  std::memcpy(out.data(), buf.data(), kUsageEntrySize);
+  enc.ZeroRest();
 }
 
 SegUsageEntry SegUsageEntry::DecodeFrom(std::span<const uint8_t> in) {
@@ -284,9 +266,8 @@ uint32_t Checkpoint::RegionBlocks(uint32_t block_size, uint32_t imap_chunks,
 }
 
 void Checkpoint::EncodeTo(std::span<uint8_t> region) const {
-  std::vector<uint8_t> buf;
-  buf.reserve(region.size());
-  Encoder enc(&buf);
+  std::span<uint8_t> body = region.first(region.size() - kCheckpointTrailerSize);
+  Encoder enc(body);
   enc.PutU32(kCheckpointMagic);
   enc.PutU64(ckpt_seq);
   enc.PutU64(timestamp);
@@ -307,8 +288,7 @@ void Checkpoint::EncodeTo(std::span<uint8_t> region) const {
   // checkpoints keep their exact legacy bytes) and only when the region's
   // rounding slack can hold it — if not, the records are dropped and mount
   // simply re-acquires clean segments for the extra logs.
-  if (!extra_logs.empty() &&
-      buf.size() + 8 + 8ull * extra_logs.size() <= region.size() - kCheckpointTrailerSize) {
+  if (!extra_logs.empty() && enc.pos() + 8 + 8ull * extra_logs.size() <= body.size()) {
     enc.PutU32(kMultiLogMagic);
     enc.PutU32(static_cast<uint32_t>(extra_logs.size()));
     for (const auto& [seg, off] : extra_logs) {
@@ -316,14 +296,13 @@ void Checkpoint::EncodeTo(std::span<uint8_t> region) const {
       enc.PutU32(off);
     }
   }
-  enc.PadTo(region.size() - kCheckpointTrailerSize);
+  enc.ZeroRest();
   // Trailer: the checkpoint sequence again plus a CRC over the body. A torn
   // region write leaves a stale or mismatching trailer, which mount rejects
   // (the paper's "time is in the last block" trick, hardened with a CRC).
-  uint32_t crc = Crc32(std::span<const uint8_t>(buf.data(), buf.size()));
-  enc.PutU64(ckpt_seq);
-  enc.PutU32(crc);
-  std::memcpy(region.data(), buf.data(), region.size());
+  Encoder trailer(region.subspan(body.size()));
+  trailer.PutU64(ckpt_seq);
+  trailer.PutU32(Crc32(body));
 }
 
 Result<Checkpoint> Checkpoint::DecodeFrom(std::span<const uint8_t> region) {
@@ -509,18 +488,21 @@ Status SegmentChain::ReadPayload(std::span<uint8_t> out) {
 
 // --- directory operation log --------------------------------------------------------
 
+namespace {
 size_t DirLogRecordEncodedSize(const DirLogRecord& rec) {
   return 1 + 4 + (2 + rec.name.size()) + 4 + 4 + 2 + 1 + 4 + (2 + rec.name2.size()) + 4 + 4 + 2;
 }
+}  // namespace
 
-std::vector<uint8_t> EncodeDirLogBlock(const std::vector<DirLogRecord>& records,
-                                       uint32_t block_size) {
-  std::vector<uint8_t> buf;
-  buf.reserve(block_size);
-  Encoder enc(&buf);
+size_t EncodeDirLogBlock(std::span<const DirLogRecord> records, std::span<uint8_t> block) {
+  Encoder enc(block);
   enc.PutU32(kDirLogMagic);
-  enc.PutU16(static_cast<uint16_t>(records.size()));
+  enc.PutU16(0);  // the count, once known
+  uint16_t count = 0;
   for (const DirLogRecord& r : records) {
+    if (enc.pos() + DirLogRecordEncodedSize(r) > block.size()) {
+      break;
+    }
     enc.PutU8(static_cast<uint8_t>(r.op));
     enc.PutU32(r.dir_ino);
     enc.PutLengthPrefixedString(r.name);
@@ -533,9 +515,11 @@ std::vector<uint8_t> EncodeDirLogBlock(const std::vector<DirLogRecord>& records,
     enc.PutU32(r.replaced_ino);
     enc.PutU32(r.replaced_version);
     enc.PutU16(r.replaced_nlink);
+    count++;
   }
-  enc.PadTo(block_size);
-  return buf;
+  enc.ZeroRest();
+  Encoder(block.subspan(4, 2)).PutU16(count);
+  return count;
 }
 
 Result<std::vector<DirLogRecord>> DecodeDirLogBlock(std::span<const uint8_t> block) {

@@ -368,13 +368,11 @@ struct DirLogRecord {
   uint16_t replaced_nlink = 0;        // replaced target's count after rename
 };
 
-// Packs records into one dirlog block / parses a dirlog block.
-std::vector<uint8_t> EncodeDirLogBlock(const std::vector<DirLogRecord>& records,
-                                       uint32_t block_size);
+// Encodes the longest prefix of `records` that fits into one dirlog block,
+// zero-filling the rest, and returns how many records it took: 0 when the
+// first record alone does not fit.
+size_t EncodeDirLogBlock(std::span<const DirLogRecord> records, std::span<uint8_t> block);
 Result<std::vector<DirLogRecord>> DecodeDirLogBlock(std::span<const uint8_t> block);
-// Upper bound on records that fit given total name bytes; callers split
-// batches conservatively.
-size_t DirLogRecordEncodedSize(const DirLogRecord& rec);
 
 }  // namespace lfs
 

@@ -21,8 +21,16 @@ LfsFileSystem::LfsFileSystem(BlockDevice* device, const LfsConfig& cfg, const Su
       sb_(sb),
       imap_(sb.max_inodes, sb.imap_entries_per_chunk()),
       usage_(sb.nsegments, sb.segment_bytes(), sb.usage_entries_per_chunk()),
-      writer_(device, &sb_, &usage_, &stats_, cfg.reserve_segments, &clock_,
-              retry_policy_, &obs_, cfg.num_logs),
+      // Partials go out through the one device-write path, each traced as
+      // one segment write.
+      writer_(
+          [this](BlockNo block, uint64_t count, std::span<const uint8_t> data) -> Status {
+            LFS_RETURN_IF_ERROR(DeviceWrite(block, count, data));
+            LFS_TRACE(obs_.tracer(), obs::TraceEventType::kSegmentWrite, obs::OpType::kNone,
+                      clock_.Now(), sb_.SegOf(block), count, device_->ModeledTime());
+            return OkStatus();
+          },
+          &sb_, &usage_, &stats_, cfg.reserve_segments, &clock_, cfg.num_logs),
       // A transaction may reserve four write buffers' worth of worst-case
       // log blocks before further mutators wait for its commit.
       txn_(4 * uint64_t{cfg.write_buffer_blocks}),
@@ -43,11 +51,10 @@ LfsFileSystem::LfsFileSystem(BlockDevice* device, const LfsConfig& cfg, const Su
 
 LfsFileSystem::~LfsFileSystem() { StopCleanerThread(); }
 
-Status LfsFileSystem::DeviceRead(BlockNo block, uint64_t count,
-                                 std::span<uint8_t> out) const {
+template <typename Io>
+Status LfsFileSystem::DeviceIo(BlockNo block, Io&& io) const {
   RelaxedDelta<uint64_t> retries(stats_.io_retries);
-  Status st = RetryWithBackoff(retry_policy_, &clock_, &stats_.io_retries,
-                               [&] { return device_->Read(block, count, out); });
+  Status st = RetryWithBackoff(retry_policy_, &clock_, &stats_.io_retries, io);
   if (retries.changed()) {
     LFS_TRACE(obs_.tracer(), obs::TraceEventType::kIoRetry, obs::OpType::kNone,
               clock_.Now(), block, retries.delta(), device_->ModeledTime());
@@ -61,22 +68,14 @@ Status LfsFileSystem::DeviceRead(BlockNo block, uint64_t count,
   return st;
 }
 
+Status LfsFileSystem::DeviceRead(BlockNo block, uint64_t count,
+                                 std::span<uint8_t> out) const {
+  return DeviceIo(block, [&] { return device_->Read(block, count, out); });
+}
+
 Status LfsFileSystem::DeviceWrite(BlockNo block, uint64_t count,
                                   std::span<const uint8_t> data) {
-  RelaxedDelta<uint64_t> retries(stats_.io_retries);
-  Status st = RetryWithBackoff(retry_policy_, &clock_, &stats_.io_retries,
-                               [&] { return device_->Write(block, count, data); });
-  if (retries.changed()) {
-    LFS_TRACE(obs_.tracer(), obs::TraceEventType::kIoRetry, obs::OpType::kNone,
-              clock_.Now(), block, retries.delta(), device_->ModeledTime());
-  }
-  if (!st.ok() && st.code() == StatusCode::kIoError) {
-    stats_.io_retry_failures++;
-    LFS_TRACE(obs_.tracer(), obs::TraceEventType::kMediaFault, obs::OpType::kNone,
-              clock_.Now(), block, static_cast<uint64_t>(st.code()),
-              device_->ModeledTime());
-  }
-  return st;
+  return DeviceIo(block, [&] { return device_->Write(block, count, data); });
 }
 
 void LfsFileSystem::EnterDegradedReadOnly(const char* why) {
@@ -576,11 +575,6 @@ Status LfsFileSystem::WriteCheckpoint() {
   return CheckpointImpl(/*flush_buffered=*/true);
 }
 
-Status LfsFileSystem::LightCheckpoint() {
-  ExclusiveSection sec(this);
-  return CheckpointImpl(/*flush_buffered=*/false);
-}
-
 Status LfsFileSystem::CheckpointImpl(bool flush_buffered) {
   obs::ScopedOpTimer op_timer(&obs_, obs::OpType::kCheckpoint, device_, &clock_);
   // Checkpoints run privileged: they may consume reserve segments, because
@@ -593,7 +587,8 @@ Status LfsFileSystem::CheckpointImpl(bool flush_buffered) {
     return st;
   };
   // Phase 1: write out all modified information to the log (Section 4.1).
-  // A light checkpoint covers only what already reached the segment writer.
+  // Without flush_buffered the checkpoint covers only what already reached
+  // the segment writer.
   Status st = flush_buffered ? FlushDirtyData() : writer_.Flush();
   if (!st.ok()) {
     return done(st);

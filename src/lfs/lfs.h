@@ -170,13 +170,6 @@ class LfsFileSystem : public FileSystem {
   // Flushes everything and writes a checkpoint region (Section 4.1).
   Status WriteCheckpoint();
 
-  // Writes a checkpoint region covering only what is already in the log
-  // (no data/dirlog flush). Used by the cleaner to advance the roll-forward
-  // boundary so post-checkpoint segments become cleanable; buffered state
-  // stays buffered and its dirlog records stay pending, so a crash after
-  // this checkpoint still recovers consistently.
-  Status LightCheckpoint();
-
   // Clean unmount: checkpoint, after which remount needs no roll-forward.
   Status Unmount();
 
@@ -195,16 +188,19 @@ class LfsFileSystem : public FileSystem {
 
   // --- introspection (tests, benchmarks, examples) --------------------------------
 
-  // Victim selection under cfg.policy for every log, exposed for the
-  // hot-path benchmark: the cleaner's own selector (below) without the
-  // governor's decision. It pops candidates from the incrementally
+  // The cleaner's victim selector: up to max_segments dirty segments that
+  // fit the clean-segment budget, skipping protected segments and the
+  // roll-forward tail. Log 0 is ordered by decision.hot_policy, colder logs
+  // by cold_policy. With the governor off one cursor covers every log; with
+  // it on each log has its own cursor and they take turns
+  // (deterministically). It pops candidates from the incrementally
   // maintained index in SegUsage (O(k log n)) without mutating filesystem
-  // state. The selection test checks the index against a scan-and-sort of
-  // seg_usage().
-  std::vector<SegNo> SelectSegmentsToClean(uint32_t max_segments);
+  // state; perf_hotpaths and lfs_cleaner_test call it with
+  // {cfg.policy, cfg.policy}.
+  std::vector<SegNo> SelectSegmentsToClean(uint32_t max_segments,
+                                           const GovernorDecision& decision);
 
   // Fine-grained reclamation introspection (tests/benches).
-  const CleanerGovernor& cleaner_governor() const { return governor_; }
   const CleanerQos& cleaner_qos() const { return qos_; }
 
   const Superblock& superblock() const { return sb_; }
@@ -216,7 +212,6 @@ class LfsFileSystem : public FileSystem {
   // Observability: per-op latency histograms + (when compiled in) the event
   // trace. Latencies are modeled-disk-time deltas; see src/obs/obs.h.
   const obs::FsObs& obs() const { return obs_; }
-  obs::FsObs& mutable_obs() { return obs_; }
   LogicalClock& clock() { return clock_; }
   // Current writability ladder position and capacity/health snapshot.
   MountState mount_state() const {
@@ -264,15 +259,20 @@ class LfsFileSystem : public FileSystem {
   // on the logical clock; exhausting the attempts bumps io_retry_failures.
   Status DeviceRead(BlockNo block, uint64_t count, std::span<uint8_t> out) const;
   Status DeviceWrite(BlockNo block, uint64_t count, std::span<const uint8_t> data);
+  // Their one body: runs `io` (a read or write starting at `block`) under the
+  // retry policy and traces its retries and a final media fault.
+  template <typename Io>
+  Status DeviceIo(BlockNo block, Io&& io) const;
   // Irreversibly flips the filesystem into degraded read-only mode (media
   // can no longer persist a checkpoint); every later mutation is refused.
   void EnterDegradedReadOnly(const char* why);
 
-  // Lock-free body of both public checkpoint entry points, for internal
-  // callers that already hold fs_mu_ (fs_mu_ is not recursive).
-  // With flush_buffered (WriteCheckpoint) buffered data and dirlog records
-  // are flushed first; without it (LightCheckpoint) the checkpoint covers
-  // only what already reached the segment writer.
+  // Lock-free checkpoint body, for callers that already hold fs_mu_
+  // (fs_mu_ is not recursive). With flush_buffered (WriteCheckpoint, Sync)
+  // buffered data and dirlog records are flushed first; without it (the
+  // cleaner's checkpoint) the checkpoint covers only what already reached
+  // the segment writer: buffered state stays buffered and its dirlog records
+  // stay queued, so a crash after it still recovers consistently.
   Status CheckpointImpl(bool flush_buffered);
 
   Status LoadFromCheckpoint(const Checkpoint& ck);
@@ -336,7 +336,10 @@ class LfsFileSystem : public FileSystem {
   // points to (a crash would otherwise recover the file as silent zeros).
   Status FlushDirtyDataInner();
   Status FlushDirLog();
-  Status FlushFileMetadata();        // dirty indirect blocks + inode blocks
+  // Appends the dirty indirect blocks, then the inode blocks, of `maps`: the
+  // loaded maps of dirty_inodes_ in ascending inode order, as the data pass
+  // collected them.
+  Status FlushFileMetadata(const std::vector<FileMap*>& maps);
   Status CheckWritable() const;      // kReadOnly on read-only mounts
   Status MaybeAutoCheckpoint();
   Status EnsureSpaceForWrite(uint64_t new_blocks);
@@ -495,13 +498,6 @@ class LfsFileSystem : public FileSystem {
   uint32_t EffectiveCleanLo() const;
   uint32_t EffectiveCleanHi() const;
   Result<uint32_t> CleanerPass();    // returns source segments reclaimed
-  // The victim selector: up to max_segments dirty segments that fit the
-  // clean-segment budget, skipping protected segments and the roll-forward
-  // tail. Log 0 is ordered by decision.hot_policy, colder logs by
-  // cold_policy. With the governor off one cursor covers every log; with it
-  // on each log has its own cursor and they take turns (deterministically).
-  std::vector<SegNo> SelectSegmentsToClean(uint32_t max_segments,
-                                           const GovernorDecision& decision);
   // The liveness rule (Section 3.3). An inode slot is live when the inode
   // map still places its inode there; fn runs for each live slot of inode
   // block `addr` and stops the walk with its first error.
@@ -588,7 +584,10 @@ class LfsFileSystem : public FileSystem {
   // under fs_mu_ exclusive.
   std::set<InodeNum> dirty_inodes_;
   mutable std::mutex dirty_inodes_mu_;
-  std::vector<DirLogRecord> pending_dirlog_;   // guarded by dirlog_mu_
+  // Directory-operation-log records not yet in the log, in queue order.
+  // Mutations append under fs_mu_ shared and dirlog_mu_ (a leaf lock); the
+  // flush reads and erases them under fs_mu_ exclusive, without dirlog_mu_.
+  std::vector<DirLogRecord> pending_dirlog_;
   std::mutex dirlog_mu_;
 
   // Clean-block read cache of segment blocks (null when

@@ -32,10 +32,6 @@ namespace {
 constexpr double kMultilogVictimMaxU = 0.85;
 }  // namespace
 
-std::vector<SegNo> LfsFileSystem::SelectSegmentsToClean(uint32_t max_segments) {
-  return SelectSegmentsToClean(max_segments, GovernorDecision{cfg_.policy, cfg_.policy});
-}
-
 std::vector<SegNo> LfsFileSystem::SelectSegmentsToClean(uint32_t max_segments,
                                                         const GovernorDecision& decision) {
   uint64_t now = clock_.Now();

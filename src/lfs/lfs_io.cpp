@@ -445,74 +445,68 @@ Status LfsFileSystem::Truncate(InodeNum ino, uint64_t new_size) {
 // --- flush machinery -----------------------------------------------------------
 
 Status LfsFileSystem::FlushDirLog() {
-  std::vector<DirLogRecord> records;
-  {
-    std::lock_guard<std::mutex> lk(dirlog_mu_);
-    records.swap(pending_dirlog_);
-  }
-  if (records.empty()) {
+  // The caller holds fs_mu_ exclusive, so no record is queued while this
+  // runs. Records leave the queue only once the block holding them is
+  // appended; after a failed append the rest stay queued for the next flush.
+  if (pending_dirlog_.empty()) {
     return OkStatus();
   }
-  const uint32_t bs = sb_.block_size;
-  const size_t header = 6;  // magic + count
-  std::vector<DirLogRecord> batch;
-  size_t batch_bytes = header;
-  auto emit = [&]() -> Status {
-    if (batch.empty()) {
-      return OkStatus();
+  std::vector<uint8_t> block(sb_.block_size);
+  const std::span<const DirLogRecord> queue(pending_dirlog_);
+  size_t taken = 0;
+  Status st;
+  while (taken < queue.size()) {
+    size_t n = EncodeDirLogBlock(queue.subspan(taken), block);
+    if (n == 0) {
+      // No block can hold this record, so no later flush could log it
+      // either: it is dropped, and the commit fails without appending a
+      // truncated block.
+      taken++;
+      st = InvalidArgumentError("a directory-log record does not fit in one block");
+      break;
     }
-    std::vector<uint8_t> block = EncodeDirLogBlock(batch, bs);
-    SummaryEntry entry{BlockKind::kDirLog, kNilInode, 0, 0};
     // Dirlog blocks are never live for the cleaner: they only matter during
     // roll-forward over the post-checkpoint log tail.
-    LFS_RETURN_IF_ERROR(writer_.Append(entry, block, clock_.Now(), /*live_bytes=*/0).status());
-    batch.clear();
-    batch_bytes = header;
-    return OkStatus();
-  };
-  for (DirLogRecord& rec : records) {
-    size_t rs = DirLogRecordEncodedSize(rec);
-    if (batch_bytes + rs > bs) {
-      LFS_RETURN_IF_ERROR(emit());
+    SummaryEntry entry{BlockKind::kDirLog, kNilInode, 0, 0};
+    st = writer_.Append(entry, block, clock_.Now(), /*live_bytes=*/0).status();
+    if (!st.ok()) {
+      break;
     }
-    batch_bytes += rs;
-    batch.push_back(std::move(rec));
+    taken += n;
   }
-  return emit();
+  pending_dirlog_.erase(pending_dirlog_.begin(), pending_dirlog_.begin() + taken);
+  return st;
 }
 
-Status LfsFileSystem::FlushFileMetadata() {
+Status LfsFileSystem::FlushFileMetadata(const std::vector<FileMap*>& maps) {
   const uint32_t bs = sb_.block_size;
   // The caller holds fs_mu_ exclusive, so nothing marks an inode dirty while
-  // this runs. The set is emptied only once every inode in it is written: an
-  // inode a failed flush left behind stays dirty, and its map stays loaded.
-  const std::set<InodeNum>& dirty = dirty_inodes_;
+  // this runs. dirty_inodes_ is emptied only once every inode in it is
+  // written: an inode a failed flush left behind stays dirty, and its map
+  // stays loaded.
+  std::vector<uint8_t> block(bs);
 
   // Pass 1: indirect blocks (and double-indirect roots), so the inodes
   // written in pass 2 carry final pointers.
-  for (InodeNum ino : dirty) {
-    FileMap* fm = FindFileMap(ino);
-    if (fm == nullptr) {
-      continue;  // deleted before the flush
-    }
+  for (FileMap* fm : maps) {
     BlockTree& tree = fm->tree;
-    // Appends a fresh copy of a pointer block and debits the old one.
-    auto append = [&](BlockKind kind, uint64_t index, std::span<const uint8_t> block,
-                      BlockNo* addr) -> Status {
-      SummaryEntry entry{kind, ino, index, fm->inode.version};
+    // Appends `block` as a fresh copy of a pointer block and debits the old
+    // one.
+    auto append = [&](BlockKind kind, uint64_t index, BlockNo* addr) -> Status {
+      SummaryEntry entry{kind, fm->inode.ino, index, fm->inode.version};
       LFS_ASSIGN_OR_RETURN(BlockNo fresh, writer_.Append(entry, block, fm->inode.mtime, bs));
       DebitLogBlock(*addr);
       *addr = fresh;
       return OkStatus();
     };
     for (uint64_t ind : tree.dirty_ind) {
-      LFS_RETURN_IF_ERROR(
-          append(BlockKind::kIndirect, ind, tree.EncodeIndirect(ind), &tree.ind_addrs[ind]));
+      tree.EncodeIndirect(ind, block);
+      LFS_RETURN_IF_ERROR(append(BlockKind::kIndirect, ind, &tree.ind_addrs[ind]));
     }
     tree.dirty_ind.clear();
     if (tree.dind_dirty && tree.ind_addrs.size() > 1) {
-      LFS_RETURN_IF_ERROR(
-          append(BlockKind::kDoubleIndirect, 0, tree.EncodeRoot(), &tree.dind_addr));
+      tree.EncodeRoot(block);
+      LFS_RETURN_IF_ERROR(append(BlockKind::kDoubleIndirect, 0, &tree.dind_addr));
     }
     tree.dind_dirty = false;
     tree.StorePointers(fm->inode.direct, &fm->inode.single_indirect, &fm->inode.double_indirect);
@@ -520,29 +514,22 @@ Status LfsFileSystem::FlushFileMetadata() {
 
   // Pass 2: pack dirty inodes into inode blocks (several per block; Figure 1
   // shows inodes written adjacent to the data they describe).
-  std::vector<InodeNum> todo;
-  todo.reserve(dirty.size());
-  for (InodeNum ino : dirty) {
-    if (FindFileMap(ino) != nullptr) {
-      todo.push_back(ino);
-    }
-  }
   const uint32_t per_block = sb_.inodes_per_block();
-  for (size_t i = 0; i < todo.size(); i += per_block) {
-    size_t group = std::min<size_t>(per_block, todo.size() - i);
-    std::vector<uint8_t> block(bs, 0);
+  for (size_t i = 0; i < maps.size(); i += per_block) {
+    size_t group = std::min<size_t>(per_block, maps.size() - i);
     uint64_t mtime = 0;
     for (size_t s = 0; s < group; s++) {
-      FileMap& fm = *FindFileMap(todo[i + s]);
-      fm.inode.EncodeTo(std::span<uint8_t>(block).subspan(s * kInodeSlotSize, kInodeSlotSize));
-      mtime = std::max(mtime, fm.inode.mtime);
+      const Inode& inode = maps[i + s]->inode;
+      inode.EncodeTo(std::span<uint8_t>(block).subspan(s * kInodeSlotSize, kInodeSlotSize));
+      mtime = std::max(mtime, inode.mtime);
     }
-    SummaryEntry entry{BlockKind::kInodeBlock, todo[i], 0, 0};
+    std::fill(block.begin() + group * kInodeSlotSize, block.end(), uint8_t{0});
+    SummaryEntry entry{BlockKind::kInodeBlock, maps[i]->inode.ino, 0, 0};
     LFS_ASSIGN_OR_RETURN(
         BlockNo addr,
         writer_.Append(entry, block, mtime, static_cast<uint32_t>(group * kInodeSlotSize)));
     for (size_t s = 0; s < group; s++) {
-      InodeNum ino = todo[i + s];
+      InodeNum ino = maps[i + s]->inode.ino;
       ImapEntry old = imap_.Get(ino);
       SegNo old_seg = sb_.SegOf(old.inode_block);
       if (old.allocated() && old_seg != kNilSeg) {
@@ -565,35 +552,37 @@ Status LfsFileSystem::FlushDirtyDataInner() {
   // blocks and inodes they describe (Section 4.2).
   LFS_RETURN_IF_ERROR(FlushDirLog());
 
-  const uint32_t bs = sb_.block_size;
-  uint64_t flushed = 0;
-  // Take every staged block before appending any. dirty_inodes_ holds every
-  // inode with a staged block, in ascending order, and each map holds its
-  // blocks in fbn order: blocks of a file, and files created together, land
-  // adjacently in the log — the paper's temporal locality. The caller holds
-  // fs_mu_ exclusive.
-  std::vector<std::pair<FileMap*, std::map<uint64_t, std::vector<uint8_t>>>> batch;
+  // dirty_inodes_ holds every inode with a staged block, in ascending order,
+  // and each map holds its blocks in fbn order: blocks of a file, and files
+  // created together, land adjacently in the log — the paper's temporal
+  // locality. The caller holds fs_mu_ exclusive. A staged block leaves its
+  // map only once Append has taken it, so after a failed append the rest
+  // stay staged for the next flush.
+  std::vector<FileMap*> maps;
+  maps.reserve(dirty_inodes_.size());
   for (InodeNum ino : dirty_inodes_) {
-    FileMap* fm = FindFileMap(ino);
-    if (fm != nullptr && !fm->staged.empty()) {
-      batch.emplace_back(fm, std::exchange(fm->staged, {}));
+    if (FileMap* fm = FindFileMap(ino); fm != nullptr) {
+      maps.push_back(fm);
     }
   }
-  dirty_count_.store(0);
-  for (auto& [fm, blocks] : batch) {
-    for (auto& [fbn, data] : blocks) {
+  const uint32_t bs = sb_.block_size;
+  for (FileMap* fm : maps) {
+    while (!fm->staged.empty()) {
+      auto first = fm->staged.begin();
+      const uint64_t fbn = first->first;
       SummaryEntry entry{BlockKind::kData, fm->inode.ino, fbn, fm->inode.version};
-      LFS_ASSIGN_OR_RETURN(BlockNo addr, writer_.Append(entry, data, fm->inode.mtime, bs));
+      LFS_ASSIGN_OR_RETURN(BlockNo addr,
+                           writer_.Append(entry, first->second, fm->inode.mtime, bs));
+      fm->staged.erase(first);
+      dirty_count_--;
+      bytes_since_checkpoint_ += bs;
       DebitLogBlock(fm->tree.blocks[fbn]);
       fm->tree.blocks[fbn] = addr;
       fm->tree.MarkDirty(fbn);
-      flushed++;
     }
   }
-  LFS_RETURN_IF_ERROR(FlushFileMetadata());
-  LFS_RETURN_IF_ERROR(writer_.Flush());
-  bytes_since_checkpoint_ += flushed * bs;
-  return OkStatus();
+  LFS_RETURN_IF_ERROR(FlushFileMetadata(maps));
+  return writer_.Flush();
 }
 
 void LfsFileSystem::TrimFileCache() {

@@ -9,17 +9,9 @@
 namespace lfs {
 
 void SegmentWriter::Init(SegNo segment, uint32_t offset, uint64_t next_seq) {
-  for (Log& log : logs_) {
-    std::lock_guard<std::mutex> lk(log.mu);
-    log.cur_seg = kNilSeg;
-    log.cur_offset = 0;
-    log.pending.clear();
-    log.partial_youngest = 0;
-  }
-  {
-    std::lock_guard<std::mutex> lk(logs_[0].mu);
-    logs_[0].cur_seg = segment;
-    logs_[0].cur_offset = offset;
+  InitLog(0, segment, offset);
+  for (uint32_t log = 1; log < logs_.size(); log++) {
+    InitLog(log, kNilSeg, 0);
   }
   next_seq_ = next_seq;
   age_ewma_ = 0.0;
@@ -30,8 +22,8 @@ void SegmentWriter::InitLog(uint32_t log, SegNo segment, uint32_t offset) {
   std::lock_guard<std::mutex> lk(l.mu);
   l.cur_seg = segment;
   l.cur_offset = offset;
-  l.pending.clear();
-  l.partial_youngest = 0;
+  l.partial.entries.clear();
+  l.partial.youngest_mtime = 0;
 }
 
 Status SegmentWriter::AdvanceSegment(Log& log, uint32_t log_index) {
@@ -55,11 +47,10 @@ Status SegmentWriter::AdvanceSegment(Log& log, uint32_t log_index) {
 }
 
 Status SegmentWriter::EnsureRoom(Log& log, uint32_t log_index) {
-  if (!log.pending.empty()) {
+  if (const size_t n = log.partial.entries.size(); n > 0) {
     // Room inside the open partial: segment space and summary entry space.
-    uint32_t used = log.cur_offset + 1 + static_cast<uint32_t>(log.pending.size());
-    bool segment_full = used >= sb_->segment_blocks;
-    bool summary_full = log.pending.size() >= sb_->max_summary_entries();
+    bool segment_full = log.cur_offset + 1 + n >= sb_->segment_blocks;
+    bool summary_full = n >= sb_->max_summary_entries();
     if (!segment_full && !summary_full) {
       return OkStatus();
     }
@@ -136,15 +127,13 @@ Result<BlockNo> SegmentWriter::Append(const SummaryEntry& entry, std::span<const
     // The largest partial EnsureRoom lets a segment hold.
     log.buf.resize(size_t{std::min(sb_->segment_blocks, sb_->max_summary_entries() + 1)} * bs);
   }
-  const size_t slot = 1 + log.pending.size();
+  std::vector<SummaryEntry>& entries = log.partial.entries;
+  const size_t slot = 1 + entries.size();
   BlockNo addr = sb_->SegmentBase(log.cur_seg) + log.cur_offset + slot;
-  if (log.pending.empty()) {
-    log.partial_youngest = 0;
-  }
-  log.partial_youngest = std::max(log.partial_youngest, mtime);
+  log.partial.youngest_mtime = std::max(log.partial.youngest_mtime, mtime);
   std::memcpy(log.buf.data() + slot * bs, data.data(), bs);
-  log.pending.push_back(entry);
-  log.pending.back().mtime = mtime;  // per-block age travels in the summary
+  entries.push_back(entry);
+  entries.back().mtime = mtime;  // per-block age travels in the summary
   usage_->AddLive(log.cur_seg, live_bytes, mtime);
   usage_->SetWriteSeq(log.cur_seg, next_seq_.load());
 
@@ -162,29 +151,22 @@ Result<BlockNo> SegmentWriter::Append(const SummaryEntry& entry, std::span<const
 }
 
 Status SegmentWriter::FlushLog(Log& log) {
-  if (log.pending.empty()) {
+  SegmentSummary& summary = log.partial;
+  if (summary.entries.empty()) {
     return OkStatus();
   }
   const uint32_t bs = sb_->block_size;
-  const uint32_t n = static_cast<uint32_t>(log.pending.size());
+  const uint32_t n = static_cast<uint32_t>(summary.entries.size());
 
   // [summary | payload...] goes out as one sequential write of the buffer.
   std::span<uint8_t> io(log.buf.data(), size_t{1 + n} * bs);
-  SegmentSummary summary;
   summary.seq = next_seq_++;
   summary.timestamp = timestamp_;
-  summary.youngest_mtime = log.partial_youngest;
   summary.payload_crc = Crc32(io.subspan(bs));
-  summary.entries = log.pending;
   summary.EncodeTo(io.first(bs));
 
-  BlockNo start = sb_->SegmentBase(log.cur_seg) + log.cur_offset;
-  Status write_st = RetryWithBackoff(retry_, clock_, &stats_->io_retries,
-                                     [&] { return device_->Write(start, 1 + n, io); });
+  Status write_st = write_(sb_->SegmentBase(log.cur_seg) + log.cur_offset, 1 + n, io);
   if (!write_st.ok()) {
-    if (write_st.code() == StatusCode::kIoError) {
-      stats_->io_retry_failures++;
-    }
     // The partial was never durable; roll the sequence number back so the
     // caller can re-drive the flush (possibly into a different segment)
     // without leaving a gap that would end roll-forward early.
@@ -193,13 +175,10 @@ Status SegmentWriter::FlushLog(Log& log) {
   }
   stats_->summary_bytes += bs;
   usage_->SetWriteSeq(log.cur_seg, summary.seq);
-  LFS_TRACE(obs_ != nullptr ? obs_->tracer() : nullptr, obs::TraceEventType::kSegmentWrite,
-            obs::OpType::kNone, clock_ != nullptr ? clock_->Now() : 0, log.cur_seg, 1 + n,
-            device_->ModeledTime());
 
   log.cur_offset += 1 + n;
-  log.pending.clear();
-  log.partial_youngest = 0;
+  summary.entries.clear();
+  summary.youngest_mtime = 0;
   return OkStatus();
 }
 
@@ -218,11 +197,11 @@ Status SegmentWriter::Flush() {
 
 bool SegmentWriter::ReadBuffered(BlockNo addr, std::span<uint8_t> out) const {
   for (const Log& log : logs_) {
-    if (log.pending.empty() || log.cur_seg == kNilSeg) {
+    if (log.partial.entries.empty() || log.cur_seg == kNilSeg) {
       continue;
     }
     BlockNo summary = sb_->SegmentBase(log.cur_seg) + log.cur_offset;
-    if (addr <= summary || addr > summary + log.pending.size()) {
+    if (addr <= summary || addr > summary + log.partial.entries.size()) {
       continue;
     }
     std::memcpy(out.data(), log.buf.data() + (addr - summary) * sb_->block_size, out.size());

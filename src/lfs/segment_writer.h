@@ -30,6 +30,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -39,9 +40,7 @@
 #include "src/lfs/layout.h"
 #include "src/lfs/seg_usage.h"
 #include "src/lfs/stats.h"
-#include "src/obs/obs.h"
 #include "src/util/relaxed.h"
-#include "src/util/retry.h"
 
 namespace lfs {
 
@@ -173,20 +172,23 @@ class GroupCommit {
 
 class SegmentWriter {
  public:
-  // `clock` and `retry` govern transient-write-error handling of the
-  // partial-segment device write: retried with backoff modeled on the clock.
-  SegmentWriter(BlockDevice* device, const Superblock* sb, SegUsage* usage, LfsStats* stats,
+  // Writes one partial, `count` blocks from `block` on, to the device. The
+  // file system passes its one device-write path (retries, fault counters,
+  // trace events).
+  using Writer =
+      std::function<Status(BlockNo block, uint64_t count, std::span<const uint8_t> data)>;
+
+  // `clock` (may be null) is the live clock the multi-log age heuristic
+  // reads.
+  SegmentWriter(Writer write, const Superblock* sb, SegUsage* usage, LfsStats* stats,
                 uint32_t reserve_segments, LogicalClock* clock = nullptr,
-                RetryPolicy retry = RetryPolicy{}, obs::FsObs* obs = nullptr,
                 uint32_t num_logs = 1)
-      : device_(device),
+      : write_(std::move(write)),
         sb_(sb),
         usage_(usage),
         stats_(stats),
         reserve_segments_(reserve_segments),
         clock_(clock),
-        retry_(retry),
-        obs_(obs),
         logs_(num_logs == 0 ? 1 : num_logs) {}
 
   // Positions the log tail (mkfs / mount / recovery). The segment must
@@ -207,6 +209,7 @@ class SegmentWriter {
   // inode blocks, 0 for dirlog blocks which are dead once checkpointed).
   // Returns the assigned disk address. The data is copied into the open
   // partial's buffer; it is durable only after the partial write is emitted.
+  // On an error nothing is taken: the caller still holds the only copy.
   //
   // `cold_hint` (multi-log only) is the migration-ladder directive: the
   // cleaner passes 1 + the log it wants the block in (clamped to the coldest
@@ -279,21 +282,23 @@ class SegmentWriter {
   // exclusive filesystem lock (group commit, cleaner, checkpoint), readers
   // under the shared one.
   //
+  // `partial` is the open partial's summary: its entries (possibly none)
+  // and youngest mtime, stamped and encoded in place when it is written.
   // `buf` is the open partial as it goes to the device: block 0 for the
-  // summary, block 1 + i for pending[i]'s payload. Allocated on the log's
+  // summary, block 1 + i for entry i's payload. Allocated on the log's
   // first Append and reused by every partial after it; a failed device
-  // write leaves it intact for the re-driven flush.
+  // write leaves both intact for the re-driven flush.
   struct Log {
     SegNo cur_seg = kNilSeg;
     uint32_t cur_offset = 0;  // next free block index within cur_seg
-    std::vector<SummaryEntry> pending;  // entries of the open partial (may be empty)
+    SegmentSummary partial;
     std::vector<uint8_t> buf;
-    uint64_t partial_youngest = 0;
     mutable std::mutex mu;
   };
 
   static uint32_t PendingBlocks(const Log& log) {
-    return log.pending.empty() ? 0 : static_cast<uint32_t>(log.pending.size()) + 1;
+    const size_t n = log.partial.entries.size();
+    return n == 0 ? 0 : static_cast<uint32_t>(n) + 1;
   }
 
   // Write-time temperature classification: which log should hold this block.
@@ -306,14 +311,12 @@ class SegmentWriter {
   Status AdvanceSegment(Log& log, uint32_t log_index);
   Status FlushLog(Log& log);
 
-  BlockDevice* device_;
+  Writer write_;
   const Superblock* sb_;
   SegUsage* usage_;
   LfsStats* stats_;
   uint32_t reserve_segments_;
-  LogicalClock* clock_;  // may be null: retries still happen, delays are not modeled
-  RetryPolicy retry_;
-  obs::FsObs* obs_;      // may be null: no trace events from the writer
+  LogicalClock* clock_;
 
   std::vector<Log> logs_;
   // ONE sequence across all logs (roll-forward order); atomic so concurrent

@@ -7,54 +7,76 @@
 #ifndef LFS_UTIL_CODEC_H_
 #define LFS_UTIL_CODEC_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace lfs {
 
-// Appends fixed-width little-endian integers and raw bytes to a buffer.
+// Writes fixed-width little-endian integers and raw bytes into a caller's
+// buffer, in place. Over-writes set a sticky error flag instead of writing
+// past the end; callers check ok() once after encoding a full structure.
 class Encoder {
  public:
-  explicit Encoder(std::vector<uint8_t>* out) : out_(out) {}
+  explicit Encoder(std::span<uint8_t> out) : out_(out) {}
 
-  void PutU8(uint8_t v) { out_->push_back(v); }
+  void PutU8(uint8_t v) { PutLittleEndian(v, 1); }
   void PutU16(uint16_t v) { PutLittleEndian(v, 2); }
   void PutU32(uint32_t v) { PutLittleEndian(v, 4); }
   void PutU64(uint64_t v) { PutLittleEndian(v, 8); }
   void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
 
   void PutBytes(std::span<const uint8_t> bytes) {
-    out_->insert(out_->end(), bytes.begin(), bytes.end());
+    if (Take(bytes.size())) {
+      std::copy(bytes.begin(), bytes.end(), out_.begin() + (pos_ - bytes.size()));
+    }
   }
   void PutString(std::string_view s) {
-    out_->insert(out_->end(), s.begin(), s.end());
+    PutBytes({reinterpret_cast<const uint8_t*>(s.data()), s.size()});
   }
   // Length-prefixed (u16) string, for names.
   void PutLengthPrefixedString(std::string_view s) {
     PutU16(static_cast<uint16_t>(s.size()));
     PutString(s);
   }
-  // Pads with zero bytes up to `size` total buffer length.
-  void PadTo(size_t size) {
-    if (out_->size() < size) {
-      out_->resize(size, 0);
-    }
+  // Zero-fills the rest of the buffer.
+  void ZeroRest() {
+    std::fill(out_.begin() + pos_, out_.end(), uint8_t{0});
+    pos_ = out_.size();
   }
 
-  size_t size() const { return out_->size(); }
+  // The bytes written so far.
+  std::span<const uint8_t> written() const { return out_.first(pos_); }
+  size_t pos() const { return pos_; }
+  bool ok() const { return !failed_; }
 
  private:
+  // Claims the next `n` bytes. If they do not fit it claims none, returns
+  // false and sets the error, and every later Put fails as well.
+  bool Take(size_t n) {
+    if (out_.size() - pos_ < n) {
+      failed_ = true;
+      pos_ = out_.size();
+      return false;
+    }
+    pos_ += n;
+    return true;
+  }
   void PutLittleEndian(uint64_t v, int width) {
+    if (!Take(width)) {
+      return;
+    }
     for (int i = 0; i < width; i++) {
-      out_->push_back(static_cast<uint8_t>(v >> (8 * i)));
+      out_[pos_ - width + i] = static_cast<uint8_t>(v >> (8 * i));
     }
   }
 
-  std::vector<uint8_t>* out_;
+  std::span<uint8_t> out_;
+  size_t pos_ = 0;
+  bool failed_ = false;
 };
 
 // Reads fixed-width little-endian integers and raw bytes from a buffer.

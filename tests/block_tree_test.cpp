@@ -37,8 +37,9 @@ BlockTree MakeTree(uint64_t n) {
 // tree has one, an address, and stores their encodings there.
 void StoreTree(BlockTree* tree, PointerStore* store) {
   BlockNo next = 1;
+  std::vector<uint8_t> block(kBlockSize);
   for (uint64_t i = 0; i < tree->ind_addrs.size(); i++) {
-    std::vector<uint8_t> block = tree->EncodeIndirect(i);
+    tree->EncodeIndirect(i, block);
     bool all_holes = block == std::vector<uint8_t>(kBlockSize, 0);
     tree->ind_addrs[i] = all_holes ? kNilBlock : next++;
     if (!all_holes) {
@@ -47,7 +48,8 @@ void StoreTree(BlockTree* tree, PointerStore* store) {
   }
   if (tree->ind_addrs.size() > 1) {
     tree->dind_addr = next++;
-    (*store)[tree->dind_addr] = tree->EncodeRoot();
+    tree->EncodeRoot(block);
+    (*store)[tree->dind_addr] = block;
   }
 }
 

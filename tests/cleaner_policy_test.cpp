@@ -386,31 +386,26 @@ TEST(PartialCompactionTest, ExhaustiveCrashExplorationThroughDrainIsClean) {
   w.write_buffer_blocks = 16;
   w.partial_compaction = 1;
   auto op1 = [&](check::OpKind k, const std::string& a) {
-    w.ops.push_back({k, a});
+    w.ops.push_back({.kind = k, .a = a});
   };
   auto write = [&](const std::string& p, uint64_t off, uint64_t len, uint64_t seed) {
-    check::Op op;
-    op.kind = check::OpKind::kWrite;
-    op.a = p;
-    op.offset = off;
-    op.length = len;
-    op.seed = seed;
-    w.ops.push_back(std::move(op));
+    w.ops.push_back(
+        {.kind = check::OpKind::kWrite, .a = p, .offset = off, .length = len, .seed = seed});
   };
   op1(check::OpKind::kMkdir, "/d");
   for (int i = 0; i < 6; i++) {
     op1(check::OpKind::kCreate, "/d/f" + std::to_string(i));
     write("/d/f" + std::to_string(i), 0, 3000, 40 + static_cast<uint64_t>(i));
   }
-  w.ops.push_back({check::OpKind::kSync});
+  w.ops.push_back({.kind = check::OpKind::kSync});
   op1(check::OpKind::kUnlink, "/d/f0");
   op1(check::OpKind::kUnlink, "/d/f2");
   op1(check::OpKind::kUnlink, "/d/f4");
-  w.ops.push_back({check::OpKind::kSync});
-  w.ops.push_back({check::OpKind::kClean});
+  w.ops.push_back({.kind = check::OpKind::kSync});
+  w.ops.push_back({.kind = check::OpKind::kClean});
   write("/d/f1", 1024, 2000, 50);  // overwrite across the drained segments
-  w.ops.push_back({check::OpKind::kSync});
-  w.ops.push_back({check::OpKind::kClean});
+  w.ops.push_back({.kind = check::OpKind::kSync});
+  w.ops.push_back({.kind = check::OpKind::kClean});
 
   ASSERT_OK_AND_ASSIGN(check::ExploreReport report, check::ExploreWorkload(w));
   std::string digest;

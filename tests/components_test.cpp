@@ -152,7 +152,9 @@ struct WriterRig {
   WriterRig()
       : sb(std::move(Superblock::Compute(kBs, 2048, 16, 256)).value()),
         usage(sb.nsegments, sb.segment_bytes(), sb.usage_entries_per_chunk()),
-        writer(&disk, &sb, &usage, &stats, /*reserve_segments=*/2) {
+        writer([this](BlockNo block, uint64_t count,
+                      std::span<const uint8_t> data) { return disk.Write(block, count, data); },
+               &sb, &usage, &stats, /*reserve_segments=*/2) {
     usage.SetState(0, SegState::kActive);
     writer.Init(0, 0, 1);
   }

@@ -45,15 +45,15 @@ class ReferenceDirectory {
   }
 
   std::vector<uint8_t> Encode(uint64_t b) const {
-    std::vector<uint8_t> buf;
-    Encoder enc(&buf);
+    std::vector<uint8_t> buf(block_size_);
+    Encoder enc(buf);
     enc.PutU32(static_cast<uint32_t>(blocks_[b].size()));
     for (const DirEntry& e : blocks_[b]) {
       enc.PutU32(e.ino);
       enc.PutU8(static_cast<uint8_t>(e.type));
       enc.PutLengthPrefixedString(e.name);
     }
-    enc.PadTo(block_size_);
+    enc.ZeroRest();
     return buf;
   }
 

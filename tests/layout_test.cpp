@@ -232,7 +232,8 @@ TEST(DirLogTest, RoundTripAllOps) {
   rename.replaced_nlink = 0;
   records.push_back(rename);
 
-  std::vector<uint8_t> block = EncodeDirLogBlock(records, kBs);
+  std::vector<uint8_t> block(kBs);
+  ASSERT_EQ(EncodeDirLogBlock(records, block), 2u);
   auto back = DecodeDirLogBlock(block);
   ASSERT_TRUE(back.ok());
   ASSERT_EQ(back->size(), 2u);
@@ -242,6 +243,23 @@ TEST(DirLogTest, RoundTripAllOps) {
   EXPECT_EQ((*back)[1].name2, "to");
   EXPECT_EQ((*back)[1].replaced_ino, 44u);
   EXPECT_EQ((*back)[1].replaced_nlink, 0u);
+}
+
+TEST(DirLogTest, EncodeTakesTheLongestPrefixThatFits) {
+  // 34 bytes plus the names per record, after a 6-byte header.
+  std::vector<DirLogRecord> records(3);
+  for (DirLogRecord& r : records) {
+    r.name = std::string(100, 'n');
+  }
+  std::vector<uint8_t> block(6 + 2 * 134 + 133, 0xEE);
+  ASSERT_EQ(EncodeDirLogBlock(records, block), 2u);
+  EXPECT_EQ(block.back(), 0);  // the rest is zero-filled
+  auto back = DecodeDirLogBlock(block);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->size(), 2u);
+  // A record that cannot fit the block alone is not encoded.
+  records[0].name2 = std::string(300, 'm');
+  EXPECT_EQ(EncodeDirLogBlock(records, block), 0u);
 }
 
 // Property sweep: random inodes and summaries round-trip for any content.

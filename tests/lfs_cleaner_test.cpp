@@ -373,7 +373,8 @@ TEST_F(LfsCleanerTest, OnePassMovesDataIndirectAndInodeBlocksOfSeveralVictims) {
     }
     ASSERT_OK(fs_->Sync());
 
-    std::vector<SegNo> victims = fs_->SelectSegmentsToClean(cfg.segments_per_pass);
+    std::vector<SegNo> victims =
+        fs_->SelectSegmentsToClean(cfg.segments_per_pass, {cfg.policy, cfg.policy});
     const std::set<BlockKind> all = {BlockKind::kData, BlockKind::kIndirect,
                                      BlockKind::kInodeBlock};
     int full_victims = 0;

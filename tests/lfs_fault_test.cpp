@@ -327,6 +327,63 @@ TEST(FaultInjectionTest, FailedPartialWriteIsRedrivenFromItsBuffer) {
   EXPECT_EQ(report.errors, 0u) << report.Summary();
 }
 
+TEST(FaultInjectionTest, FailedCommitLosesNoStagedBlock) {
+  // A commit whose partial write fails past its retries loses no staged
+  // block: the blocks it appended wait in the open partial, the rest stay
+  // staged, and the next successful Sync makes every one durable.
+  LfsConfig cfg = SmallConfig();
+  cfg.write_buffer_blocks = 64;
+  FaultDisk disk(std::make_unique<MemDisk>(cfg.block_size, 4096));
+  auto fs = std::move(LfsFileSystem::Mkfs(&disk, cfg)).value();
+  const Superblock sb = fs->superblock();
+  const uint64_t seg_area = uint64_t{sb.nsegments} * sb.segment_blocks;
+  ASSERT_OK(fs->Sync());
+  const std::vector<uint8_t> content = TestContent(3, 30 * cfg.block_size);
+  ASSERT_OK(fs->WriteFile("/a", content));
+
+  disk.AddLatentError(sb.seg_start, seg_area);
+  EXPECT_EQ(fs->Sync().code(), StatusCode::kIoError);
+  disk.ClearLatentError(sb.seg_start, seg_area);
+  ASSERT_OK(fs->Sync());
+  ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> got, fs->ReadFile("/a"));
+  EXPECT_EQ(got, content);
+
+  ASSERT_OK(fs->Unmount());
+  fs.reset();
+  ASSERT_OK_AND_ASSIGN(CheckReport report, CheckLfsImage(&disk));
+  EXPECT_EQ(report.errors, 0u) << report.Summary();
+  fs = std::move(LfsFileSystem::Mount(&disk, cfg)).value();
+  ASSERT_OK_AND_ASSIGN(got, fs->ReadFile("/a"));
+  EXPECT_EQ(got, content);
+}
+
+TEST(FaultInjectionTest, FailedCommitKeepsDirLogRecords) {
+  // A directory-log record leaves its queue only once the block holding it
+  // is appended, so a run whose first Sync fails logs exactly the records of
+  // a fault-free twin.
+  LfsConfig cfg = SmallConfig();
+  uint64_t dirlog_bytes[2] = {};
+  for (int faulty = 0; faulty < 2; faulty++) {
+    FaultDisk disk(std::make_unique<MemDisk>(cfg.block_size, 4096));
+    auto fs = std::move(LfsFileSystem::Mkfs(&disk, cfg)).value();
+    const Superblock& sb = fs->superblock();
+    const uint64_t seg_area = uint64_t{sb.nsegments} * sb.segment_blocks;
+    for (int i = 0; i < 600; i++) {
+      ASSERT_OK(fs->Create("/f" + std::to_string(i)).status());
+    }
+    if (faulty == 1) {
+      disk.AddLatentError(sb.seg_start, seg_area);
+      EXPECT_EQ(fs->Sync().code(), StatusCode::kIoError);
+      disk.ClearLatentError(sb.seg_start, seg_area);
+    }
+    ASSERT_OK(fs->Sync());
+    dirlog_bytes[faulty] =
+        fs->stats().log_bytes_by_kind[static_cast<size_t>(BlockKind::kDirLog)];
+  }
+  EXPECT_GT(dirlog_bytes[0], 0u);
+  EXPECT_EQ(dirlog_bytes[1], dirlog_bytes[0]);
+}
+
 TEST(FaultInjectionTest, DoubleCheckpointFailureEntersDegradedReadOnly) {
   LfsConfig cfg = SmallConfig();
   FaultDisk disk(std::make_unique<MemDisk>(cfg.block_size, 4096));

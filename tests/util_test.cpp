@@ -62,15 +62,18 @@ TEST(ResultTest, AssignOrReturnPropagates) {
 }
 
 TEST(CodecTest, RoundTripsAllWidths) {
-  std::vector<uint8_t> buf;
-  Encoder enc(&buf);
+  std::vector<uint8_t> buf(64, 0xFF);
+  Encoder enc(buf);
   enc.PutU8(0xAB);
   enc.PutU16(0xBEEF);
   enc.PutU32(0xDEADBEEF);
   enc.PutU64(0x0123456789ABCDEFull);
   enc.PutLengthPrefixedString("hello");
-  enc.PadTo(64);
-  ASSERT_EQ(buf.size(), 64u);
+  EXPECT_EQ(enc.pos(), 1u + 2 + 4 + 8 + 2 + 5);
+  enc.ZeroRest();
+  EXPECT_EQ(enc.pos(), 64u);
+  EXPECT_TRUE(enc.ok());
+  EXPECT_EQ(buf.back(), 0);
 
   Decoder dec(buf);
   EXPECT_EQ(dec.GetU8(), 0xAB);
@@ -82,12 +85,27 @@ TEST(CodecTest, RoundTripsAllWidths) {
 }
 
 TEST(CodecTest, LittleEndianOnDisk) {
-  std::vector<uint8_t> buf;
-  Encoder enc(&buf);
+  std::vector<uint8_t> buf(4);
+  Encoder enc(buf);
   enc.PutU32(0x01020304);
-  ASSERT_EQ(buf.size(), 4u);
+  ASSERT_EQ(enc.pos(), 4u);
   EXPECT_EQ(buf[0], 0x04);
   EXPECT_EQ(buf[3], 0x01);
+}
+
+TEST(CodecTest, OverwriteSetsStickyError) {
+  // The encoder writes into the first six bytes of an eight-byte buffer; the
+  // last two must survive every encode that does not fit.
+  std::vector<uint8_t> buf(8, 0xEE);
+  Encoder enc(std::span<uint8_t>(buf).first(6));
+  enc.PutU32(0x01020304);
+  EXPECT_TRUE(enc.ok());
+  enc.PutU32(0x05060708);  // 4 bytes into the 2 left
+  EXPECT_FALSE(enc.ok());
+  enc.PutU8(0x09);  // would fit alone, but the error is sticky
+  enc.PutString("xyz");
+  EXPECT_FALSE(enc.ok());
+  EXPECT_EQ(buf, (std::vector<uint8_t>{0x04, 0x03, 0x02, 0x01, 0xEE, 0xEE, 0xEE, 0xEE}));
 }
 
 TEST(CodecTest, OverreadSetsStickyError) {
