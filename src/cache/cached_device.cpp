@@ -54,12 +54,13 @@ Status CachedBlockDevice::Read(BlockNo block, uint64_t count, std::span<uint8_t>
   return OkStatus();
 }
 
-Status CachedBlockDevice::Write(BlockNo block, uint64_t count,
-                                std::span<const uint8_t> data) {
-  LFS_RETURN_IF_ERROR(CheckRange(block, count, data.size()));
+Status CachedBlockDevice::WriteV(BlockNo block, uint64_t count, WriteParts parts) {
+  LFS_RETURN_IF_ERROR(CheckRange(block, count, parts));
   const uint32_t bs = block_size();
-  for (uint64_t i = 0; i < count; i++) {
-    cache_.PutDirty(block + i, data.subspan(i * bs, bs));
+  for (std::span<const uint8_t> part : parts) {
+    for (size_t off = 0; off < part.size(); off += bs) {
+      cache_.PutDirty(block++, part.subspan(off, bs));
+    }
   }
   return OkStatus();
 }

@@ -44,7 +44,10 @@ class CachedBlockDevice : public BlockDevice {
   double ModeledTime() const override { return inner_->ModeledTime(); }
 
   Status Read(BlockNo block, uint64_t count, std::span<uint8_t> out) override;
-  Status Write(BlockNo block, uint64_t count, std::span<const uint8_t> data) override;
+  Status Write(BlockNo block, uint64_t count, std::span<const uint8_t> data) override {
+    return WriteV(block, count, {&data, 1});
+  }
+  Status WriteV(BlockNo block, uint64_t count, WriteParts parts) override;
 
   // Writes back all dirty frames (sorted, run-coalesced), then flushes the
   // inner device.

@@ -92,7 +92,7 @@ Workload FuzzWorkload(uint64_t seed, const FuzzOptions& options) {
   };
   auto fresh_name = [&]() -> std::string {
     for (int attempt = 0; attempt < 8; attempt++) {
-      std::string cand = JoinName(pick_dir(), "f" + std::to_string(rng.NextBelow(8)));
+      std::string cand = JoinName(pick_dir(), 'f' + std::to_string(rng.NextBelow(8)));
       if (t.NameFree(cand)) {
         return cand;
       }

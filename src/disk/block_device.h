@@ -23,6 +23,10 @@ namespace lfs {
 using BlockNo = uint64_t;
 inline constexpr BlockNo kNilBlock = 0;
 
+// The pieces of one gather write, in device order. Each piece is a whole
+// number of blocks.
+using WriteParts = std::span<const std::span<const uint8_t>>;
+
 // Every device doubles as a ModeledTimeSource: SimDisk reports its
 // accumulated service time (the deterministic clock behind the obs layer's
 // latency histograms); wrappers forward to their backing; raw stores stay at
@@ -40,6 +44,14 @@ class BlockDevice : public obs::ModeledTimeSource {
   // the LFS issues whole partial-segment writes through a single call.
   virtual Status Read(BlockNo block, uint64_t count, std::span<uint8_t> out) = 0;
   virtual Status Write(BlockNo block, uint64_t count, std::span<const uint8_t> data) = 0;
+
+  // Writes `count` consecutive blocks from `block` on, gathered from
+  // `parts`: one request, exactly like a Write of the concatenated parts
+  // (the LFS issues each partial-segment write as its summary block plus
+  // one part per payload block). The default issues one Write, of the one
+  // part as it is or of the parts copied into one buffer; MemDisk, SimDisk
+  // and CachedBlockDevice write the parts where they lie.
+  virtual Status WriteV(BlockNo block, uint64_t count, WriteParts parts);
 
   // Ensures previously written data is durable. MemDisk is a no-op; fault-
   // injection devices use this as a barrier marker.
@@ -67,6 +79,8 @@ class BlockDevice : public obs::ModeledTimeSource {
  protected:
   // Validates a request against the device geometry.
   Status CheckRange(BlockNo block, uint64_t count, size_t span_bytes) const;
+  // The same for a gather write; also checks that every part is whole blocks.
+  Status CheckRange(BlockNo block, uint64_t count, WriteParts parts) const;
 };
 
 }  // namespace lfs

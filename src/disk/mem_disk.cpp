@@ -11,10 +11,14 @@ Status MemDisk::Read(BlockNo block, uint64_t count, std::span<uint8_t> out) {
   return OkStatus();
 }
 
-Status MemDisk::Write(BlockNo block, uint64_t count, std::span<const uint8_t> data) {
-  LFS_RETURN_IF_ERROR(CheckRange(block, count, data.size()));
+Status MemDisk::WriteV(BlockNo block, uint64_t count, WriteParts parts) {
+  LFS_RETURN_IF_ERROR(CheckRange(block, count, parts));
   std::lock_guard<std::mutex> lock(mu_);
-  std::memcpy(data_.data() + block * block_size_, data.data(), data.size());
+  uint8_t* dst = data_.data() + block * block_size_;
+  for (std::span<const uint8_t> part : parts) {
+    std::memcpy(dst, part.data(), part.size());
+    dst += part.size();
+  }
   return OkStatus();
 }
 

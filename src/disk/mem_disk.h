@@ -24,7 +24,10 @@ class MemDisk : public BlockDevice {
   uint64_t block_count() const override { return block_count_; }
 
   Status Read(BlockNo block, uint64_t count, std::span<uint8_t> out) override;
-  Status Write(BlockNo block, uint64_t count, std::span<const uint8_t> data) override;
+  Status Write(BlockNo block, uint64_t count, std::span<const uint8_t> data) override {
+    return WriteV(block, count, {&data, 1});
+  }
+  Status WriteV(BlockNo block, uint64_t count, WriteParts parts) override;
   Status Flush() override { return OkStatus(); }
 
   // Test/fault-injection access to raw contents.

@@ -42,8 +42,8 @@ Status SimDisk::Read(BlockNo block, uint64_t count, std::span<uint8_t> out) {
   return OkStatus();
 }
 
-Status SimDisk::Write(BlockNo block, uint64_t count, std::span<const uint8_t> data) {
-  LFS_RETURN_IF_ERROR(backing_->Write(block, count, data));
+Status SimDisk::WriteV(BlockNo block, uint64_t count, WriteParts parts) {
+  LFS_RETURN_IF_ERROR(backing_->WriteV(block, count, parts));
   Charge(block, count, /*is_write=*/true);
   return OkStatus();
 }

@@ -38,7 +38,11 @@ class SimDisk : public BlockDevice {
   uint64_t block_count() const override { return backing_->block_count(); }
 
   Status Read(BlockNo block, uint64_t count, std::span<uint8_t> out) override;
-  Status Write(BlockNo block, uint64_t count, std::span<const uint8_t> data) override;
+  Status Write(BlockNo block, uint64_t count, std::span<const uint8_t> data) override {
+    return WriteV(block, count, {&data, 1});
+  }
+  // One request to the model, whatever the number of parts.
+  Status WriteV(BlockNo block, uint64_t count, WriteParts parts) override;
   Status Flush() override { return backing_->Flush(); }
   // Trims are free on the timing model (a queued command, no data transfer)
   // and forward to the backing so an SSD backing can invalidate pages.

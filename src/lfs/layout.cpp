@@ -494,6 +494,10 @@ size_t DirLogRecordEncodedSize(const DirLogRecord& rec) {
 }
 }  // namespace
 
+bool DirLogRecordFits(const DirLogRecord& record, uint32_t block_size) {
+  return 4 + 2 + DirLogRecordEncodedSize(record) <= block_size;  // after the magic and count
+}
+
 size_t EncodeDirLogBlock(std::span<const DirLogRecord> records, std::span<uint8_t> block) {
   Encoder enc(block);
   enc.PutU32(kDirLogMagic);

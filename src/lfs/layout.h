@@ -372,6 +372,8 @@ struct DirLogRecord {
 // zero-filling the rest, and returns how many records it took: 0 when the
 // first record alone does not fit.
 size_t EncodeDirLogBlock(std::span<const DirLogRecord> records, std::span<uint8_t> block);
+// Whether a dirlog block of `block_size` bytes can hold `record` at all.
+bool DirLogRecordFits(const DirLogRecord& record, uint32_t block_size);
 Result<std::vector<DirLogRecord>> DecodeDirLogBlock(std::span<const uint8_t> block);
 
 }  // namespace lfs

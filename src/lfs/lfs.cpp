@@ -21,16 +21,18 @@ LfsFileSystem::LfsFileSystem(BlockDevice* device, const LfsConfig& cfg, const Su
       sb_(sb),
       imap_(sb.max_inodes, sb.imap_entries_per_chunk()),
       usage_(sb.nsegments, sb.segment_bytes(), sb.usage_entries_per_chunk()),
-      // Partials go out through the one device-write path, each traced as
-      // one segment write.
+      // Partials go out as gather writes through DeviceIo, the one body of
+      // all device I/O, each traced as one segment write.
       writer_(
-          [this](BlockNo block, uint64_t count, std::span<const uint8_t> data) -> Status {
-            LFS_RETURN_IF_ERROR(DeviceWrite(block, count, data));
+          [this](BlockNo block, uint64_t count, WriteParts parts) -> Status {
+            LFS_RETURN_IF_ERROR(
+                DeviceIo(block, [&] { return device_->WriteV(block, count, parts); }));
             LFS_TRACE(obs_.tracer(), obs::TraceEventType::kSegmentWrite, obs::OpType::kNone,
                       clock_.Now(), sb_.SegOf(block), count, device_->ModeledTime());
             return OkStatus();
           },
-          &sb_, &usage_, &stats_, cfg.reserve_segments, &clock_, cfg.num_logs),
+          &sb_, &usage_, &stats_, cfg.reserve_segments, &clock_, cfg.num_logs,
+          cfg.write_buffer_blocks),
       // A transaction may reserve four write buffers' worth of worst-case
       // log blocks before further mutators wait for its commit.
       txn_(4 * uint64_t{cfg.write_buffer_blocks}),
@@ -278,14 +280,13 @@ Status LfsFileSystem::LoadFromCheckpoint(const Checkpoint& ck) {
 }
 
 Status LfsFileSystem::FlushMetadataChunks() {
-  std::vector<uint8_t> block(sb_.block_size);
-
   // Inode map chunks (Table 1 "Inode map"; Table 4 shows these dominate
   // metadata log bandwidth).
   std::vector<uint32_t> imap_dirty = imap_.dirty_chunks();
   for (uint32_t c : imap_dirty) {
     BlockNo old = imap_.chunk_addr(c);
-    imap_.EncodeChunk(c, block);
+    Frame block = writer_.TakeFrame();
+    imap_.EncodeChunk(c, block.span());
     SummaryEntry entry{BlockKind::kImapChunk, kNilInode, c, 0};
     LFS_ASSIGN_OR_RETURN(BlockNo addr, writer_.Append(entry, block, clock_.Now(), sb_.block_size));
     SegNo old_seg = sb_.SegOf(old);
@@ -356,7 +357,8 @@ Status LfsFileSystem::FlushMetadataChunks() {
       // Clear the flag before serializing: dirtiness created after this point
       // (by later chunks' appends) must survive into the next checkpoint.
       usage_.ClearDirtyChunk(c);
-      usage_.EncodeChunk(c, block);
+      Frame block = writer_.TakeFrame();
+      usage_.EncodeChunk(c, block.span());
       uint32_t lo = c * usage_.entries_per_chunk();
       uint32_t hi = std::min<uint32_t>(lo + usage_.entries_per_chunk(), sb_.nsegments);
       enc_state[c].resize(hi - lo);
@@ -708,8 +710,7 @@ Result<FileStat> LfsFileSystem::Stat(InodeNum ino) {
 
 Result<uint32_t> LfsFileSystem::ForceClean() {
   ExclusiveSection sec(this);
-  LFS_RETURN_IF_ERROR(writer_.Flush());
-  LFS_ASSIGN_OR_RETURN(uint32_t reclaimed, CleanerPass());
+  LFS_ASSIGN_OR_RETURN(uint32_t reclaimed, CleanerPass());  // flushes the writer first
   // Checkpoint after reclaiming so the recovery scan filter (which probes
   // only checkpoint-clean segments) covers any reuse of the sources.
   if (reclaimed > 0 && !in_checkpoint_ && !in_recovery_) {

@@ -135,7 +135,9 @@ class LfsFileSystem : public FileSystem {
   //   fs_mu_  ->  inode stripes (ascending) ->  itable shard mu |
   //               dirty_inodes_mu_ | dirlog_mu_ | read_cache_'s BlockCache shard mu |
   //               InodeMap::mu_ | SegUsage::mu_ | SegmentWriter log mu
-  //           ->  device mutexes (SimDisk / MemDisk / BlockCache shards)
+  //           ->  device mutexes (SimDisk / MemDisk / BlockCache shards) |
+  //               FramePool::mu_ (a leaf: frames return from under shard
+  //               and log mutexes)
   //
   // Path resolution locks one directory stripe (shared) at a time and
   // re-verifies the final components under the op's inode locks, retrying
@@ -235,13 +237,21 @@ class LfsFileSystem : public FileSystem {
   // liveness-check them; its dirty pointer blocks are appended to the log
   // when the inode is flushed. A FileMap with staged blocks is always in
   // dirty_inodes_ (StageBlock puts it there).
+  //
+  // Staged blocks are (fbn, frame) pairs in ascending fbn order: a sorted
+  // vector keeps its capacity across commits, so restaging a file allocates
+  // nothing.
+  using StagedBlock = std::pair<uint64_t, Frame>;
   struct FileMap {
     FileMap(const Inode& i, BlockTree t) : inode(i), tree(std::move(t)) {}
 
+    // The staged block `fbn`, or null.
+    const Frame* FindStaged(uint64_t fbn) const;
+
     Inode inode;
     BlockTree tree;
-    std::map<uint64_t, std::vector<uint8_t>> staged;  // fbn -> block to append
-    std::unique_ptr<Directory> dir;                   // guarded by the shard mutex
+    std::vector<StagedBlock> staged;  // the write buffer
+    std::unique_ptr<Directory> dir;  // guarded by the shard mutex
   };
 
   // One partial-segment write parsed back from the log.
@@ -254,7 +264,8 @@ class LfsFileSystem : public FileSystem {
 
   // --- shared helpers (lfs.cpp) ---
 
-  // All device I/O from the filesystem goes through these: transient
+  // All device I/O from the filesystem goes through these (the segment
+  // writer's gather writes through DeviceIo itself): transient
   // kIoError failures are retried per cfg_ with exponential backoff modeled
   // on the logical clock; exhausting the attempts bumps io_retry_failures.
   Status DeviceRead(BlockNo block, uint64_t count, std::span<uint8_t> out) const;
@@ -317,9 +328,9 @@ class LfsFileSystem : public FileSystem {
   // uncached stretches with single run-granular device reads that also
   // populate read_cache_.
   Status ReadLogRun(BlockNo addr, uint64_t count, std::span<uint8_t> out) const;
-  // Copies `block` in as the staged block `fbn` of inode `ino` (map `fm`),
-  // over any staged copy, and marks the inode dirty. Caller holds the
-  // inode's stripe exclusive.
+  // Copies `block` into the frame of staged block `fbn` of inode `ino`
+  // (map `fm`), taking a frame for a fresh fbn, and marks the inode dirty.
+  // Caller holds the inode's stripe exclusive.
   void StageBlock(InodeNum ino, FileMap* fm, uint64_t fbn, std::span<const uint8_t> block);
   // Block `fbn` of the file: its staged copy, else its log copy, else zeros.
   Status ReadFileBlock(const FileMap* fm, uint64_t fbn, std::span<uint8_t> out) const;
@@ -508,19 +519,18 @@ class LfsFileSystem : public FileSystem {
   // blocks and unknown kinds. `content` is read only for inode blocks.
   Result<uint32_t> LiveBytes(const SummaryEntry& entry, BlockNo addr,
                              std::span<const uint8_t> content);
-  // `drain_src` != kNilSeg marks a partial-compaction relocation: the moved
-  // bytes are debited off that victim immediately (kData and the metadata
-  // chunks; indirect/inode rewrites already debit their old addresses in
-  // FlushFileMetadata), since the victim stays kDirty instead of being
-  // zeroed wholesale by a clean transition.
+  // Rewrites one live block at the log head. The moved bytes of data and
+  // chunk blocks are debited off the victim at once (indirect and inode
+  // rewrites debit their old addresses in FlushFileMetadata), so the usage
+  // table stays exact whether the victim is then reclaimed, drained only in
+  // part, or left behind by a pass that fails.
   Status MigrateLiveBlock(const SummaryEntry& entry, BlockNo addr,
-                          std::span<const uint8_t> content, SegNo drain_src = kNilSeg);
+                          std::span<const uint8_t> content);
   // One live block queued for rewriting at the log head.
   struct LiveBlock {
     SummaryEntry entry;
     BlockNo addr = kNilBlock;
     std::span<const uint8_t> content;  // in its victim's buffer (victim_bufs_)
-    SegNo drain_src = kNilSeg;  // partial compaction: debit this victim on move
   };
   // Collects a segment's live blocks, either by reading the whole segment
   // (the paper's conservative default) or by reading summaries first and
@@ -533,11 +543,11 @@ class LfsFileSystem : public FileSystem {
   Status CollectLiveBlocksWhole(SegNo seg, std::span<uint8_t> seg_buf,
                                 std::vector<LiveBlock>* out, bool* media_damage);
   // The summary-first walk starts at block offset `start`, stops at the
-  // first partial-write boundary once `max_blocks` live blocks are gathered,
-  // and tags each with `drain_src`. Returns the offset where the walk
-  // stopped, or segment_blocks when it reached the end of the chain.
+  // first partial-write boundary once `max_blocks` live blocks are gathered.
+  // Returns the offset where the walk stopped, or segment_blocks when it
+  // reached the end of the chain.
   Result<uint32_t> CollectLiveBlocksSparse(SegNo seg, uint32_t start, uint32_t max_blocks,
-                                           SegNo drain_src, std::span<uint8_t> seg_buf,
+                                           std::span<uint8_t> seg_buf,
                                            std::vector<LiveBlock>* out, bool* media_damage);
 
   // --- recovery (lfs_recovery.cpp) ---
@@ -569,6 +579,8 @@ class LfsFileSystem : public FileSystem {
   RetryPolicy retry_policy_;  // RetryPolicy{}: 4 attempts, backoff from 1 tick
   InodeMap imap_;
   SegUsage usage_;
+  // Owns the frame pool: declared before itable_ (staged frames) so it
+  // outlives every frame.
   SegmentWriter writer_;
   CleanerGovernor governor_;  // adaptive policy switching (cfg.adaptive_cleaning)
   CleanerQos qos_;            // cleaner copy-I/O token bucket (cfg.cleaner_qos_*)
@@ -611,7 +623,11 @@ class LfsFileSystem : public FileSystem {
   bool cleaner_kick_ = false;   // guarded by cleaner_mu_
   std::atomic<bool> cleaner_running_{false};
   // Segment-sized read buffers of a pass's victims that hold live bytes,
-  // kept across passes (CleanerPass, under fs_mu_ exclusive).
+  // kept across passes (CleanerPass, under fs_mu_ exclusive). Migrated data
+  // blocks are appended as spans of these buffers, so a pass refills them
+  // only after its opening writer_.Flush() has succeeded: the blocks a
+  // failed pass left in the open partial stay intact until a flush writes
+  // them.
   std::vector<std::vector<uint8_t>> victim_bufs_;
 
   uint32_t cr_next_ = 0;            // which checkpoint region to write next

@@ -169,8 +169,9 @@ Result<uint32_t> LfsFileSystem::LiveBytes(const SummaryEntry& entry, BlockNo add
 }
 
 Status LfsFileSystem::MigrateLiveBlock(const SummaryEntry& entry, BlockNo addr,
-                                       std::span<const uint8_t> content, SegNo drain_src) {
+                                       std::span<const uint8_t> content) {
   const uint32_t bs = sb_.block_size;
+  const SegNo src_seg = sb_.SegOf(addr);
   switch (entry.kind) {
     case BlockKind::kData: {
       LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(entry.ino));
@@ -181,24 +182,20 @@ Status LfsFileSystem::MigrateLiveBlock(const SummaryEntry& entry, BlockNo addr,
       // alive when its segment was reclaimed the block has proven itself
       // longer-lived than its neighbors, and genuinely hot data dies before
       // it can ratchet twice.
-      SegNo src_seg = static_cast<SegNo>((addr - sb_.seg_start) / sb_.segment_blocks);
       uint32_t cold_hint = 2 + usage_.Get(src_seg).log_id;
+      // By reference: `content` lies in victim_bufs_, which stay unchanged
+      // until a flush has written it (see CleanerPass).
       LFS_ASSIGN_OR_RETURN(BlockNo new_addr,
                            writer_.Append(entry, content, entry.mtime, bs, cold_hint));
       fm->tree.blocks[entry.fbn] = new_addr;
       fm->tree.MarkDirty(entry.fbn);
       MarkInodeDirty(entry.ino);
-      if (drain_src != kNilSeg) {
-        // Partial compaction: the victim stays kDirty, so debit the moved
-        // bytes now instead of relying on a wholesale clean transition.
-        usage_.SubLive(drain_src, bs);
-      }
+      usage_.SubLive(src_seg, bs);
       return OkStatus();
     }
     // Indirect, double-indirect, and inode blocks are rewritten by the
     // deferred FlushFileMetadata path, which debits their OLD addresses as it
-    // appends the fresh copies — so a partial-compaction drain needs no extra
-    // accounting for these kinds; drain_src is intentionally unused.
+    // appends the fresh copies.
     case BlockKind::kIndirect:
     case BlockKind::kDoubleIndirect: {
       LFS_ASSIGN_OR_RETURN(FileMap * fm, GetFileMap(entry.ino));
@@ -219,29 +216,25 @@ Status LfsFileSystem::MigrateLiveBlock(const SummaryEntry& entry, BlockNo addr,
       });
     case BlockKind::kImapChunk: {
       uint32_t chunk = static_cast<uint32_t>(entry.fbn);
-      std::vector<uint8_t> fresh(bs);
-      imap_.EncodeChunk(chunk, fresh);
+      Frame fresh = writer_.TakeFrame();
+      imap_.EncodeChunk(chunk, fresh.span());
       SummaryEntry e{BlockKind::kImapChunk, kNilInode, chunk, 0};
       LFS_ASSIGN_OR_RETURN(BlockNo new_addr, writer_.Append(e, fresh, clock_.Now(), bs));
       imap_.set_chunk_addr(chunk, new_addr);
-      if (drain_src != kNilSeg) {
-        usage_.SubLive(drain_src, bs);
-      }
+      usage_.SubLive(src_seg, bs);
       return OkStatus();
     }
     case BlockKind::kUsageChunk: {
       uint32_t chunk = static_cast<uint32_t>(entry.fbn);
-      // Partial compaction debits the victim BEFORE serializing, so if this
-      // chunk covers the victim the logged copy carries the drained count.
-      if (drain_src != kNilSeg) {
-        usage_.SubLive(drain_src, bs);
-      }
+      // Debit the victim BEFORE serializing, so if this chunk covers the
+      // victim the logged copy carries the drained count.
+      usage_.SubLive(src_seg, bs);
       // Pre-account the new copy so the serialized contents include it (see
       // FlushMetadataChunks).
       LFS_RETURN_IF_ERROR(writer_.PrepareAppend());
       usage_.AddLive(writer_.current_segment(), bs, clock_.Now());
-      std::vector<uint8_t> fresh(bs);
-      usage_.EncodeChunk(chunk, fresh);
+      Frame fresh = writer_.TakeFrame();
+      usage_.EncodeChunk(chunk, fresh.span());
       SummaryEntry e{BlockKind::kUsageChunk, kNilInode, chunk, 0};
       LFS_ASSIGN_OR_RETURN(BlockNo new_addr,
                            writer_.Append(e, fresh, clock_.Now(), /*live_bytes=*/0));
@@ -294,7 +287,7 @@ Status LfsFileSystem::CollectLiveBlocksWhole(SegNo seg, std::span<uint8_t> seg_b
 }
 
 Result<uint32_t> LfsFileSystem::CollectLiveBlocksSparse(SegNo seg, uint32_t start,
-                                                        uint32_t max_blocks, SegNo drain_src,
+                                                        uint32_t max_blocks,
                                                         std::span<uint8_t> seg_buf,
                                                         std::vector<LiveBlock>* out,
                                                         bool* media_damage) {
@@ -322,13 +315,13 @@ Result<uint32_t> LfsFileSystem::CollectLiveBlocksSparse(SegNo seg, uint32_t star
         // Liveness of an inode block is per-slot and needs the contents;
         // read it optimistically and re-check below.
         inode_block_idx.push_back(candidates.size());
-        candidates.push_back(LiveBlock{entry, addr, {}, drain_src});
+        candidates.push_back(LiveBlock{entry, addr, {}});
         continue;
       }
       Result<uint32_t> live = LiveBytes(entry, addr, {});
       st = live.status();
       if (st.ok() && *live > 0) {
-        candidates.push_back(LiveBlock{entry, addr, {}, drain_src});
+        candidates.push_back(LiveBlock{entry, addr, {}});
       }
     }
   }
@@ -466,8 +459,9 @@ Result<uint32_t> LfsFileSystem::CleanerPass() {
 
   // A victim with live bytes reads into a segment-sized buffer of its own,
   // and its LiveBlocks point there until the migration below. The buffers
-  // are reused across passes; the list is sized before any LiveBlock points
-  // into it.
+  // are reused across passes, refilled only now that the opening Flush has
+  // written every block an earlier pass appended from them; the list is
+  // sized before any LiveBlock points into it.
   if (victim_bufs_.size() < chosen.size()) {
     victim_bufs_.resize(chosen.size());
   }
@@ -495,8 +489,8 @@ Result<uint32_t> LfsFileSystem::CleanerPass() {
       size_t before = live_blocks.size();
       Result<uint32_t> stop =
           CollectLiveBlocksSparse(seg, usage_.compact_cursor(seg),
-                                  cfg_.partial_compaction_max_blocks, seg, take_buf(),
-                                  &live_blocks, &media_damage);
+                                  cfg_.partial_compaction_max_blocks, take_buf(), &live_blocks,
+                                  &media_damage);
       if (!stop.ok()) {
         return cleanup(Result<uint32_t>(stop.status()));
       }
@@ -518,7 +512,7 @@ Result<uint32_t> LfsFileSystem::CleanerPass() {
       continue;
     } else {
       Status collect = cfg_.cleaner_read_live_blocks_only
-                           ? CollectLiveBlocksSparse(seg, 0, UINT32_MAX, kNilSeg, take_buf(),
+                           ? CollectLiveBlocksSparse(seg, 0, UINT32_MAX, take_buf(),
                                                      &live_blocks, &media_damage)
                                  .status()
                            : CollectLiveBlocksWhole(seg, take_buf(), &live_blocks,
@@ -565,7 +559,7 @@ Result<uint32_t> LfsFileSystem::CleanerPass() {
                      });
   }
   for (const LiveBlock& lb : live_blocks) {
-    Status mig = MigrateLiveBlock(lb.entry, lb.addr, lb.content, lb.drain_src);
+    Status mig = MigrateLiveBlock(lb.entry, lb.addr, lb.content);
     if (!mig.ok()) {
       return cleanup(Result<uint32_t>(mig));
     }

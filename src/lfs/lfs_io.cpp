@@ -132,6 +132,11 @@ void LfsFileSystem::MarkInodeDirty(InodeNum ino) {
   dirty_inodes_.insert(ino);
 }
 
+const Frame* LfsFileSystem::FileMap::FindStaged(uint64_t fbn) const {
+  auto it = std::ranges::lower_bound(staged, fbn, {}, &StagedBlock::first);
+  return it != staged.end() && it->first == fbn ? &it->second : nullptr;
+}
+
 void LfsFileSystem::StageBlock(InodeNum ino, FileMap* fm, uint64_t fbn,
                                std::span<const uint8_t> block) {
   assert(block.size() == sb_.block_size);
@@ -142,11 +147,12 @@ void LfsFileSystem::StageBlock(InodeNum ino, FileMap* fm, uint64_t fbn,
     MarkInodeDirty(ino);
   }
   // A block already staged is overwritten in place.
-  auto [it, fresh] = fm->staged.try_emplace(fbn);
-  it->second.assign(block.begin(), block.end());
-  if (fresh) {
+  auto it = std::ranges::lower_bound(fm->staged, fbn, {}, &StagedBlock::first);
+  if (it == fm->staged.end() || it->first != fbn) {
+    it = fm->staged.emplace(it, fbn, writer_.TakeFrame());
     dirty_count_++;
   }
+  std::memcpy(it->second.span().data(), block.data(), block.size());
 }
 
 Result<LfsFileSystem::FileMap*> LfsFileSystem::GetFileMap(InodeNum ino) {
@@ -201,16 +207,16 @@ void LfsFileSystem::DebitLogBlock(BlockNo addr) {
 }
 
 void LfsFileSystem::ShrinkFileMap(FileMap* fm, uint64_t new_block_count) {
-  auto cut = fm->staged.lower_bound(new_block_count);
+  auto cut = std::ranges::lower_bound(fm->staged, new_block_count, {}, &StagedBlock::first);
   dirty_count_ -= static_cast<uint64_t>(std::distance(cut, fm->staged.end()));
-  fm->staged.erase(cut, fm->staged.end());
+  fm->staged.erase(cut, fm->staged.end());  // the frames go back to the pool
   fm->tree.Shrink(new_block_count, [this](BlockNo addr) { DebitLogBlock(addr); });
 }
 
 Status LfsFileSystem::ReadFileBlock(const FileMap* fm, uint64_t fbn,
                                     std::span<uint8_t> out) const {
-  if (auto it = fm->staged.find(fbn); it != fm->staged.end()) {
-    std::memcpy(out.data(), it->second.data(), out.size());
+  if (const Frame* staged = fm->FindStaged(fbn); staged != nullptr) {
+    std::memcpy(out.data(), staged->span().data(), out.size());
     return OkStatus();
   }
   const std::vector<BlockNo>& blocks = fm->tree.blocks;
@@ -358,7 +364,7 @@ Result<uint64_t> LfsFileSystem::ReadAt(InodeNum ino, uint64_t offset, std::span<
     uint64_t fbn = pos / bs;
     uint32_t in_block = static_cast<uint32_t>(pos % bs);
     uint32_t chunk = static_cast<uint32_t>(std::min<uint64_t>(bs - in_block, want - done));
-    bool plain_disk_block = in_block == 0 && chunk == bs && !fm->staged.contains(fbn) &&
+    bool plain_disk_block = in_block == 0 && chunk == bs && fm->FindStaged(fbn) == nullptr &&
                             fbn < blocks.size() && blocks[fbn] != kNilBlock;
     if (plain_disk_block) {
       // Extend the run of contiguous disk blocks.
@@ -366,7 +372,7 @@ Result<uint64_t> LfsFileSystem::ReadAt(InodeNum ino, uint64_t offset, std::span<
       while (done + run * bs + bs <= want) {
         uint64_t next_fbn = fbn + run;
         if (next_fbn >= blocks.size() || blocks[next_fbn] != blocks[fbn] + run ||
-            fm->staged.contains(next_fbn)) {
+            fm->FindStaged(next_fbn) != nullptr) {
           break;
         }
         run++;
@@ -451,16 +457,17 @@ Status LfsFileSystem::FlushDirLog() {
   if (pending_dirlog_.empty()) {
     return OkStatus();
   }
-  std::vector<uint8_t> block(sb_.block_size);
   const std::span<const DirLogRecord> queue(pending_dirlog_);
   size_t taken = 0;
   Status st;
   while (taken < queue.size()) {
-    size_t n = EncodeDirLogBlock(queue.subspan(taken), block);
+    Frame block = writer_.TakeFrame();
+    size_t n = EncodeDirLogBlock(queue.subspan(taken), block.span());
     if (n == 0) {
       // No block can hold this record, so no later flush could log it
       // either: it is dropped, and the commit fails without appending a
-      // truncated block.
+      // truncated block. (RenameLocked refuses such a record up front; this
+      // stays as a guard.)
       taken++;
       st = InvalidArgumentError("a directory-log record does not fit in one block");
       break;
@@ -484,7 +491,6 @@ Status LfsFileSystem::FlushFileMetadata(const std::vector<FileMap*>& maps) {
   // this runs. dirty_inodes_ is emptied only once every inode in it is
   // written: an inode a failed flush left behind stays dirty, and its map
   // stays loaded.
-  std::vector<uint8_t> block(bs);
 
   // Pass 1: indirect blocks (and double-indirect roots), so the inodes
   // written in pass 2 carry final pointers.
@@ -492,7 +498,7 @@ Status LfsFileSystem::FlushFileMetadata(const std::vector<FileMap*>& maps) {
     BlockTree& tree = fm->tree;
     // Appends `block` as a fresh copy of a pointer block and debits the old
     // one.
-    auto append = [&](BlockKind kind, uint64_t index, BlockNo* addr) -> Status {
+    auto append = [&](BlockKind kind, uint64_t index, Frame& block, BlockNo* addr) -> Status {
       SummaryEntry entry{kind, fm->inode.ino, index, fm->inode.version};
       LFS_ASSIGN_OR_RETURN(BlockNo fresh, writer_.Append(entry, block, fm->inode.mtime, bs));
       DebitLogBlock(*addr);
@@ -500,13 +506,15 @@ Status LfsFileSystem::FlushFileMetadata(const std::vector<FileMap*>& maps) {
       return OkStatus();
     };
     for (uint64_t ind : tree.dirty_ind) {
-      tree.EncodeIndirect(ind, block);
-      LFS_RETURN_IF_ERROR(append(BlockKind::kIndirect, ind, &tree.ind_addrs[ind]));
+      Frame block = writer_.TakeFrame();
+      tree.EncodeIndirect(ind, block.span());
+      LFS_RETURN_IF_ERROR(append(BlockKind::kIndirect, ind, block, &tree.ind_addrs[ind]));
     }
     tree.dirty_ind.clear();
     if (tree.dind_dirty && tree.ind_addrs.size() > 1) {
-      tree.EncodeRoot(block);
-      LFS_RETURN_IF_ERROR(append(BlockKind::kDoubleIndirect, 0, &tree.dind_addr));
+      Frame block = writer_.TakeFrame();
+      tree.EncodeRoot(block.span());
+      LFS_RETURN_IF_ERROR(append(BlockKind::kDoubleIndirect, 0, block, &tree.dind_addr));
     }
     tree.dind_dirty = false;
     tree.StorePointers(fm->inode.direct, &fm->inode.single_indirect, &fm->inode.double_indirect);
@@ -518,12 +526,13 @@ Status LfsFileSystem::FlushFileMetadata(const std::vector<FileMap*>& maps) {
   for (size_t i = 0; i < maps.size(); i += per_block) {
     size_t group = std::min<size_t>(per_block, maps.size() - i);
     uint64_t mtime = 0;
+    Frame block = writer_.TakeFrame();
     for (size_t s = 0; s < group; s++) {
       const Inode& inode = maps[i + s]->inode;
-      inode.EncodeTo(std::span<uint8_t>(block).subspan(s * kInodeSlotSize, kInodeSlotSize));
+      inode.EncodeTo(block.span().subspan(s * kInodeSlotSize, kInodeSlotSize));
       mtime = std::max(mtime, inode.mtime);
     }
-    std::fill(block.begin() + group * kInodeSlotSize, block.end(), uint8_t{0});
+    std::ranges::fill(block.span().subspan(group * kInodeSlotSize), uint8_t{0});
     SummaryEntry entry{BlockKind::kInodeBlock, maps[i]->inode.ino, 0, 0};
     LFS_ASSIGN_OR_RETURN(
         BlockNo addr,
@@ -556,8 +565,8 @@ Status LfsFileSystem::FlushDirtyDataInner() {
   // and each map holds its blocks in fbn order: blocks of a file, and files
   // created together, land adjacently in the log — the paper's temporal
   // locality. The caller holds fs_mu_ exclusive. A staged block leaves its
-  // map only once Append has taken it, so after a failed append the rest
-  // stay staged for the next flush.
+  // map only once Append has taken its frame, so after a failed append the
+  // rest stay staged for the next flush.
   std::vector<FileMap*> maps;
   maps.reserve(dirty_inodes_.size());
   for (InodeNum ino : dirty_inodes_) {
@@ -567,19 +576,24 @@ Status LfsFileSystem::FlushDirtyDataInner() {
   }
   const uint32_t bs = sb_.block_size;
   for (FileMap* fm : maps) {
-    while (!fm->staged.empty()) {
-      auto first = fm->staged.begin();
-      const uint64_t fbn = first->first;
+    size_t taken = 0;
+    Status st;
+    for (auto& [fbn, frame] : fm->staged) {
       SummaryEntry entry{BlockKind::kData, fm->inode.ino, fbn, fm->inode.version};
-      LFS_ASSIGN_OR_RETURN(BlockNo addr,
-                           writer_.Append(entry, first->second, fm->inode.mtime, bs));
-      fm->staged.erase(first);
-      dirty_count_--;
-      bytes_since_checkpoint_ += bs;
+      Result<BlockNo> addr = writer_.Append(entry, frame, fm->inode.mtime, bs);
+      if (!addr.ok()) {
+        st = addr.status();
+        break;
+      }
+      taken++;
       DebitLogBlock(fm->tree.blocks[fbn]);
-      fm->tree.blocks[fbn] = addr;
+      fm->tree.blocks[fbn] = *addr;
       fm->tree.MarkDirty(fbn);
     }
+    fm->staged.erase(fm->staged.begin(), fm->staged.begin() + taken);
+    dirty_count_ -= taken;
+    bytes_since_checkpoint_ += taken * bs;
+    LFS_RETURN_IF_ERROR(st);
   }
   LFS_RETURN_IF_ERROR(FlushFileMetadata(maps));
   return writer_.Flush();

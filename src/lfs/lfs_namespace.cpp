@@ -364,6 +364,12 @@ Status LfsFileSystem::RenameLocked(InodeNum from_dir, const std::string& from_na
   rec.replaced_ino = replaced;
   rec.replaced_version = replaced_version;
   rec.replaced_nlink = replaced_nlink;
+  // Refused before anything changes: no dirlog block could hold the record
+  // (two long names at a small block size), so the rename could never be
+  // rolled forward.
+  if (!DirLogRecordFits(rec, sb_.block_size)) {
+    return InvalidArgumentError("rename's directory-log record does not fit in one block");
+  }
   LogDirOp(std::move(rec));
 
   if (replaced != kNilInode) {

@@ -46,7 +46,9 @@ void SegUsage::AddLive(SegNo seg, uint32_t bytes, uint64_t mtime) {
   assert(e.live_bytes <= segment_bytes_);
   e.last_write = std::max(e.last_write, mtime);
   MarkDirty(seg);
-  SyncIndex(seg);
+  if (e.state != SegState::kActive) {  // the active segment is never a victim
+    SyncIndex(seg);
+  }
 }
 
 void SegUsage::SubLive(SegNo seg, uint32_t bytes) {

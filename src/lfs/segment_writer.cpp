@@ -8,6 +8,26 @@
 
 namespace lfs {
 
+void Frame::GiveBack::operator()(uint8_t* data) const { pool->Give(data); }
+
+Frame FramePool::Take() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (free_.empty()) {
+    return Frame(this, new uint8_t[block_size_], block_size_);
+  }
+  Frame frame(this, free_.back().release(), block_size_);
+  free_.pop_back();
+  return frame;
+}
+
+void FramePool::Give(uint8_t* data) {
+  std::unique_ptr<uint8_t[]> frame(data);  // freed after the unlock unless kept
+  std::lock_guard<std::mutex> lock(mu_);
+  if (free_.size() < max_free_) {
+    free_.push_back(std::move(frame));
+  }
+}
+
 void SegmentWriter::Init(SegNo segment, uint32_t offset, uint64_t next_seq) {
   InitLog(0, segment, offset);
   for (uint32_t log = 1; log < logs_.size(); log++) {
@@ -24,6 +44,9 @@ void SegmentWriter::InitLog(uint32_t log, SegNo segment, uint32_t offset) {
   l.cur_offset = offset;
   l.partial.entries.clear();
   l.partial.youngest_mtime = 0;
+  l.frames.clear();
+  l.frames.push_back(pool_.Take());  // the summary block
+  l.parts.assign(1, l.frames[0].span());
 }
 
 Status SegmentWriter::AdvanceSegment(Log& log, uint32_t log_index) {
@@ -96,9 +119,10 @@ uint32_t SegmentWriter::ClassifyLog(const SummaryEntry& entry, uint64_t mtime,
   return idx;
 }
 
-Result<BlockNo> SegmentWriter::Append(const SummaryEntry& entry, std::span<const uint8_t> data,
-                                      uint64_t mtime, uint32_t live_bytes,
-                                      uint32_t cold_hint) {
+Result<BlockNo> SegmentWriter::AppendBlock(const SummaryEntry& entry,
+                                           std::span<const uint8_t> data, Frame* frame,
+                                           uint64_t mtime, uint32_t live_bytes,
+                                           uint32_t cold_hint) {
   if (data.size() != sb_->block_size) {
     return InvalidArgumentError("Append: payload must be exactly one block");
   }
@@ -123,15 +147,13 @@ Result<BlockNo> SegmentWriter::Append(const SummaryEntry& entry, std::span<const
   std::lock_guard<std::mutex> lk(log.mu);
   LFS_RETURN_IF_ERROR(EnsureRoom(log, log_index));
   const uint32_t bs = sb_->block_size;
-  if (log.buf.empty()) {
-    // The largest partial EnsureRoom lets a segment hold.
-    log.buf.resize(size_t{std::min(sb_->segment_blocks, sb_->max_summary_entries() + 1)} * bs);
-  }
   std::vector<SummaryEntry>& entries = log.partial.entries;
-  const size_t slot = 1 + entries.size();
-  BlockNo addr = sb_->SegmentBase(log.cur_seg) + log.cur_offset + slot;
+  BlockNo addr = sb_->SegmentBase(log.cur_seg) + log.cur_offset + 1 + entries.size();
   log.partial.youngest_mtime = std::max(log.partial.youngest_mtime, mtime);
-  std::memcpy(log.buf.data() + slot * bs, data.data(), bs);
+  log.parts.push_back(data);
+  if (frame != nullptr) {
+    log.frames.push_back(std::move(*frame));
+  }
   entries.push_back(entry);
   entries.back().mtime = mtime;  // per-block age travels in the summary
   usage_->AddLive(log.cur_seg, live_bytes, mtime);
@@ -158,14 +180,18 @@ Status SegmentWriter::FlushLog(Log& log) {
   const uint32_t bs = sb_->block_size;
   const uint32_t n = static_cast<uint32_t>(summary.entries.size());
 
-  // [summary | payload...] goes out as one sequential write of the buffer.
-  std::span<uint8_t> io(log.buf.data(), size_t{1 + n} * bs);
+  // [summary | payload...] goes out as one sequential gather write. The
+  // payload CRC taken block by block equals one pass over the payload.
   summary.seq = next_seq_++;
   summary.timestamp = timestamp_;
-  summary.payload_crc = Crc32(io.subspan(bs));
-  summary.EncodeTo(io.first(bs));
+  uint32_t crc = Crc32Init();
+  for (uint32_t i = 1; i <= n; i++) {
+    crc = Crc32Update(crc, log.parts[i]);
+  }
+  summary.payload_crc = Crc32Finish(crc);
+  summary.EncodeTo(log.frames[0].span());
 
-  Status write_st = write_(sb_->SegmentBase(log.cur_seg) + log.cur_offset, 1 + n, io);
+  Status write_st = write_(sb_->SegmentBase(log.cur_seg) + log.cur_offset, 1 + n, log.parts);
   if (!write_st.ok()) {
     // The partial was never durable; roll the sequence number back so the
     // caller can re-drive the flush (possibly into a different segment)
@@ -179,6 +205,8 @@ Status SegmentWriter::FlushLog(Log& log) {
   log.cur_offset += 1 + n;
   summary.entries.clear();
   summary.youngest_mtime = 0;
+  log.parts.resize(1);
+  log.frames.erase(log.frames.begin() + 1, log.frames.end());  // back to the pool
   return OkStatus();
 }
 
@@ -204,7 +232,7 @@ bool SegmentWriter::ReadBuffered(BlockNo addr, std::span<uint8_t> out) const {
     if (addr <= summary || addr > summary + log.partial.entries.size()) {
       continue;
     }
-    std::memcpy(out.data(), log.buf.data() + (addr - summary) * sb_->block_size, out.size());
+    std::memcpy(out.data(), log.parts[addr - summary].data(), out.size());
     return true;
   }
   return false;

@@ -31,6 +31,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -170,26 +171,73 @@ class GroupCommit {
   Relaxed<bool> committing_flag_{false};
 };
 
+class FramePool;
+
+// One block-sized buffer from a FramePool: a staged block, an encoded
+// metadata block, or a summary. Move-only; it goes back to its pool when
+// destroyed.
+class Frame {
+ public:
+  std::span<uint8_t> span() const { return {data_.get(), size_}; }
+
+ private:
+  friend class FramePool;
+  struct GiveBack {
+    FramePool* pool;
+    void operator()(uint8_t* data) const;
+  };
+  Frame(FramePool* pool, uint8_t* data, uint32_t size) : data_(data, GiveBack{pool}), size_(size) {}
+
+  std::unique_ptr<uint8_t[], GiveBack> data_;
+  uint32_t size_ = 0;
+};
+
+// The free list frames come from and return to. It allocates only when the
+// list is empty and keeps at most `max_free` returned frames, freeing any
+// past that. `mu_` is a leaf lock: frames return from under inode-table
+// shard mutexes (a FileMap's destruction) and from the writer's log mutexes.
+// The pool must outlive every frame it hands out.
+class FramePool {
+ public:
+  FramePool(uint32_t block_size, size_t max_free) : block_size_(block_size), max_free_(max_free) {}
+
+  Frame Take();
+
+ private:
+  friend class Frame;
+  void Give(uint8_t* data);
+
+  const uint32_t block_size_;
+  const size_t max_free_;
+  std::mutex mu_;
+  std::vector<std::unique_ptr<uint8_t[]>> free_;
+};
+
 class SegmentWriter {
  public:
-  // Writes one partial, `count` blocks from `block` on, to the device. The
-  // file system passes its one device-write path (retries, fault counters,
-  // trace events).
-  using Writer =
-      std::function<Status(BlockNo block, uint64_t count, std::span<const uint8_t> data)>;
+  // Writes one partial, `count` blocks from `block` on, gathered from
+  // `parts`, to the device. The file system passes its one device-write path
+  // (retries, fault counters, trace events).
+  using Writer = std::function<Status(BlockNo block, uint64_t count, WriteParts parts)>;
 
   // `clock` (may be null) is the live clock the multi-log age heuristic
-  // reads.
+  // reads. The frame pool keeps up to `write_buffer_blocks` plus one
+  // partial's worth of free frames.
   SegmentWriter(Writer write, const Superblock* sb, SegUsage* usage, LfsStats* stats,
                 uint32_t reserve_segments, LogicalClock* clock = nullptr,
-                uint32_t num_logs = 1)
+                uint32_t num_logs = 1, uint32_t write_buffer_blocks = 0)
       : write_(std::move(write)),
         sb_(sb),
         usage_(usage),
         stats_(stats),
         reserve_segments_(reserve_segments),
         clock_(clock),
+        pool_(sb->block_size, size_t{write_buffer_blocks} + sb->max_summary_entries()),
         logs_(num_logs == 0 ? 1 : num_logs) {}
+
+  // A frame for the caller to fill: a block to stage, or a metadata block
+  // to encode and then Append.
+  Frame TakeFrame() { return pool_.Take(); }
 
   // Positions the log tail (mkfs / mount / recovery). The segment must
   // already be marked kActive in the usage table. Resets every other log to
@@ -201,21 +249,31 @@ class SegmentWriter {
   // per-log append-point records). The segment must be kActive.
   void InitLog(uint32_t log, SegNo segment, uint32_t offset);
 
-  // Appends one block to the log. `entry` identifies the block for the
-  // summary; `mtime` is the modification time used for segment age tracking
-  // (the cleaner passes the block's original age through so cold data keeps
-  // looking cold); `live_bytes` is the amount this block adds to its
-  // segment's live count (block size for most kinds, the used slot bytes for
-  // inode blocks, 0 for dirlog blocks which are dead once checkpointed).
-  // Returns the assigned disk address. The data is copied into the open
-  // partial's buffer; it is durable only after the partial write is emitted.
-  // On an error nothing is taken: the caller still holds the only copy.
+  // Appends one block to the log by reference: neither form copies it.
+  // `entry` identifies the block for the summary; `mtime` is the
+  // modification time used for segment age tracking (the cleaner passes the
+  // block's original age through so cold data keeps looking cold);
+  // `live_bytes` is the amount this block adds to its segment's live count
+  // (block size for most kinds, the used slot bytes for inode blocks, 0 for
+  // dirlog blocks which are dead once checkpointed). Returns the assigned
+  // disk address. The block is durable only after its partial is written.
+  //
+  // The Frame form takes `frame` only when it succeeds; on an error the
+  // caller still holds it. The span form refers to bytes the caller keeps
+  // unchanged until the partial holding them is written (the cleaner's
+  // victim buffers).
   //
   // `cold_hint` (multi-log only) is the migration-ladder directive: the
   // cleaner passes 1 + the log it wants the block in (clamped to the coldest
   // log that exists). 0 means no hint — the age heuristic decides.
+  Result<BlockNo> Append(const SummaryEntry& entry, Frame& frame, uint64_t mtime,
+                         uint32_t live_bytes, uint32_t cold_hint = 0) {
+    return AppendBlock(entry, frame.span(), &frame, mtime, live_bytes, cold_hint);
+  }
   Result<BlockNo> Append(const SummaryEntry& entry, std::span<const uint8_t> data,
-                         uint64_t mtime, uint32_t live_bytes, uint32_t cold_hint = 0);
+                         uint64_t mtime, uint32_t live_bytes, uint32_t cold_hint = 0) {
+    return AppendBlock(entry, data, nullptr, mtime, live_bytes, cold_hint);
+  }
 
   // Emits the buffered partial writes of every log, if any.
   Status Flush();
@@ -283,16 +341,18 @@ class SegmentWriter {
   // under the shared one.
   //
   // `partial` is the open partial's summary: its entries (possibly none)
-  // and youngest mtime, stamped and encoded in place when it is written.
-  // `buf` is the open partial as it goes to the device: block 0 for the
-  // summary, block 1 + i for entry i's payload. Allocated on the log's
-  // first Append and reused by every partial after it; a failed device
-  // write leaves both intact for the re-driven flush.
+  // and youngest mtime, stamped and encoded into frames[0] when it is
+  // written. `parts` is the open partial as it goes to the device: part 0
+  // the summary block, part 1 + i entry i's payload, each a reference to a
+  // block in `frames` or in a caller's buffer. The payload's frames go back
+  // to the pool once the partial is written; a failed device write leaves
+  // all of it intact for the re-driven flush.
   struct Log {
     SegNo cur_seg = kNilSeg;
     uint32_t cur_offset = 0;  // next free block index within cur_seg
     SegmentSummary partial;
-    std::vector<uint8_t> buf;
+    std::vector<std::span<const uint8_t>> parts;
+    std::vector<Frame> frames;
     mutable std::mutex mu;
   };
 
@@ -303,6 +363,12 @@ class SegmentWriter {
 
   // Write-time temperature classification: which log should hold this block.
   uint32_t ClassifyLog(const SummaryEntry& entry, uint64_t mtime, uint32_t cold_hint);
+
+  // Both Append forms: `data` is the block; `frame`, when not null, owns it
+  // and moves into the open partial once the append succeeds.
+  Result<BlockNo> AppendBlock(const SummaryEntry& entry, std::span<const uint8_t> data,
+                              Frame* frame, uint64_t mtime, uint32_t live_bytes,
+                              uint32_t cold_hint);
 
   // Ensures an open partial with room for one more block; may flush and/or
   // advance to a new segment. These three run with the log's append lock
@@ -318,6 +384,8 @@ class SegmentWriter {
   uint32_t reserve_segments_;
   LogicalClock* clock_;
 
+  // Declared before logs_, so the frames the logs hold return to a live pool.
+  FramePool pool_;
   std::vector<Log> logs_;
   // ONE sequence across all logs (roll-forward order); atomic so concurrent
   // flushes of distinct logs draw unique seqs. FlushLog rolls it back on a

@@ -14,6 +14,7 @@
 #include "src/cache/block_cache.h"
 #include "src/cache/cached_device.h"
 #include "src/disk/mem_disk.h"
+#include "src/disk/sim_disk.h"
 #include "tests/test_util.h"
 
 namespace lfs::cache {
@@ -186,7 +187,7 @@ TEST(BlockCacheTest, ShardDistributionCoversAllShards) {
   for (uint32_t s = 0; s < cache.shard_count(); s++) {
     uint64_t n = cache.shard_size(s);
     EXPECT_GT(n, 0u) << "shard " << s << " empty";
-    EXPECT_LT(n, 4 * 1024 / 8) << "shard " << s << " skewed";
+    EXPECT_LT(n, 4u * 1024 / 8) << "shard " << s << " skewed";
     total += n;
   }
   EXPECT_EQ(total, cache.size());
@@ -296,6 +297,36 @@ TEST(CachedDeviceTest, WriteBackReachesInnerOnFlush) {
   ASSERT_OK(dev.Flush());
   ASSERT_OK(disk.Read(9, 1, raw));
   EXPECT_EQ(raw, d);
+}
+
+TEST(CachedDeviceTest, WriteVEqualsConcatenatedWrite) {
+  // Same frames, same write-back, same bytes and disk statistics below.
+  const std::vector<uint8_t> a = Fill(0x11), b = Fill(0x22), c = Fill(0x33);
+  const std::span<const uint8_t> parts[] = {a, b, c};
+  std::vector<uint8_t> whole;
+  for (std::span<const uint8_t> p : parts) {
+    whole.insert(whole.end(), p.begin(), p.end());
+  }
+  CachedDeviceOptions opts;
+  opts.capacity_blocks = 64;
+  SimDisk disk_v(std::make_unique<MemDisk>(kBs, 64), DiskModelParams::WrenIV());
+  SimDisk disk_w(std::make_unique<MemDisk>(kBs, 64), DiskModelParams::WrenIV());
+  CachedBlockDevice dev_v(&disk_v, opts);
+  CachedBlockDevice dev_w(&disk_w, opts);
+  ASSERT_OK(dev_v.WriteV(9, 3, parts));
+  ASSERT_OK(dev_w.Write(9, 3, whole));
+  EXPECT_EQ(dev_v.cache().stats().insertions, dev_w.cache().stats().insertions);
+  std::vector<uint8_t> out(whole.size());
+  ASSERT_OK(dev_v.Read(9, 3, out));
+  EXPECT_EQ(out, whole);
+  ASSERT_OK(dev_v.Flush());
+  ASSERT_OK(dev_w.Flush());
+  auto raw = [](SimDisk& d) { return static_cast<MemDisk*>(d.backing())->raw(); };
+  EXPECT_TRUE(std::ranges::equal(raw(disk_v), raw(disk_w)));
+  EXPECT_EQ(disk_v.stats().writes, disk_w.stats().writes);
+  EXPECT_EQ(disk_v.stats().bytes_written, disk_w.stats().bytes_written);
+  EXPECT_EQ(disk_v.stats().busy_sec, disk_w.stats().busy_sec);
+  EXPECT_EQ(dev_v.cache().stats().writeback_blocks, dev_w.cache().stats().writeback_blocks);
 }
 
 }  // namespace

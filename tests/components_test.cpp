@@ -153,13 +153,19 @@ struct WriterRig {
       : sb(std::move(Superblock::Compute(kBs, 2048, 16, 256)).value()),
         usage(sb.nsegments, sb.segment_bytes(), sb.usage_entries_per_chunk()),
         writer([this](BlockNo block, uint64_t count,
-                      std::span<const uint8_t> data) { return disk.Write(block, count, data); },
+                      WriteParts parts) { return disk.WriteV(block, count, parts); },
                &sb, &usage, &stats, /*reserve_segments=*/2) {
     usage.SetState(0, SegState::kActive);
     writer.Init(0, 0, 1);
   }
 
-  std::vector<uint8_t> Block(uint8_t fill) { return std::vector<uint8_t>(kBs, fill); }
+  // Appends a block filled with `fill`, staged in a frame as LFS does.
+  Result<BlockNo> Append(const SummaryEntry& entry, uint8_t fill, uint64_t mtime,
+                         uint32_t live_bytes) {
+    Frame f = writer.TakeFrame();
+    std::fill(f.span().begin(), f.span().end(), fill);
+    return writer.Append(entry, f, mtime, live_bytes);
+  }
   SummaryEntry Entry(InodeNum ino, uint64_t fbn) {
     return SummaryEntry{BlockKind::kData, ino, fbn, 1};
   }
@@ -167,8 +173,8 @@ struct WriterRig {
 
 TEST(SegmentWriterTest, AssignsConsecutiveAddressesWithinPartial) {
   WriterRig rig;
-  auto a = rig.writer.Append(rig.Entry(1, 0), rig.Block(1), 10, WriterRig::kBs);
-  auto b = rig.writer.Append(rig.Entry(1, 1), rig.Block(2), 11, WriterRig::kBs);
+  auto a = rig.Append(rig.Entry(1, 0), 1, 10, WriterRig::kBs);
+  auto b = rig.Append(rig.Entry(1, 1), 2, 11, WriterRig::kBs);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(*b, *a + 1);
@@ -179,7 +185,7 @@ TEST(SegmentWriterTest, AssignsConsecutiveAddressesWithinPartial) {
 
 TEST(SegmentWriterTest, BufferedBlocksReadableBeforeFlush) {
   WriterRig rig;
-  auto a = rig.writer.Append(rig.Entry(1, 0), rig.Block(0xAA), 10, WriterRig::kBs);
+  auto a = rig.Append(rig.Entry(1, 0), 0xAA, 10, WriterRig::kBs);
   ASSERT_TRUE(a.ok());
   std::vector<uint8_t> out(WriterRig::kBs);
   ASSERT_TRUE(rig.writer.ReadBuffered(*a, out));
@@ -192,8 +198,8 @@ TEST(SegmentWriterTest, BufferedBlocksReadableBeforeFlush) {
 
 TEST(SegmentWriterTest, FlushWritesValidSummary) {
   WriterRig rig;
-  ASSERT_TRUE(rig.writer.Append(rig.Entry(7, 3), rig.Block(1), 42, WriterRig::kBs).ok());
-  ASSERT_TRUE(rig.writer.Append(rig.Entry(7, 4), rig.Block(2), 43, WriterRig::kBs).ok());
+  ASSERT_TRUE(rig.Append(rig.Entry(7, 3), 1, 42, WriterRig::kBs).ok());
+  ASSERT_TRUE(rig.Append(rig.Entry(7, 4), 2, 43, WriterRig::kBs).ok());
   ASSERT_TRUE(rig.writer.Flush().ok());
   std::vector<uint8_t> sum_block(WriterRig::kBs);
   ASSERT_TRUE(rig.disk.Read(rig.sb.SegmentBase(0), 1, sum_block).ok());
@@ -210,10 +216,7 @@ TEST(SegmentWriterTest, AdvancesAcrossSegments) {
   WriterRig rig;
   // Fill well past one 16-block segment.
   for (int i = 0; i < 40; i++) {
-    ASSERT_TRUE(rig.writer
-                    .Append(rig.Entry(1, static_cast<uint64_t>(i)), rig.Block(1), 10,
-                            WriterRig::kBs)
-                    .ok());
+    ASSERT_TRUE(rig.Append(rig.Entry(1, static_cast<uint64_t>(i)), 1, 10, WriterRig::kBs).ok());
   }
   ASSERT_TRUE(rig.writer.Flush().ok());
   EXPECT_GT(rig.writer.current_segment(), 0u);
@@ -236,19 +239,17 @@ TEST(SegmentWriterTest, ReserveBlocksOrdinaryWrites) {
   // Fill the active segment; the next advance must fail for ordinary writes.
   Status st = OkStatus();
   for (int i = 0; i < 40 && st.ok(); i++) {
-    st = rig.writer.Append(rig.Entry(1, static_cast<uint64_t>(i)), rig.Block(1), 1,
-                           WriterRig::kBs)
-             .status();
+    st = rig.Append(rig.Entry(1, static_cast<uint64_t>(i)), 1, 1, WriterRig::kBs).status();
   }
   EXPECT_EQ(st.code(), StatusCode::kNoSpace);
   // Cleaning mode may dip into the reserve.
   rig.writer.set_cleaning(true);
-  EXPECT_TRUE(rig.writer.Append(rig.Entry(2, 0), rig.Block(3), 1, WriterRig::kBs).ok());
+  EXPECT_TRUE(rig.Append(rig.Entry(2, 0), 3, 1, WriterRig::kBs).ok());
 }
 
 TEST(SegmentWriterTest, LiveBytesAccounted) {
   WriterRig rig;
-  ASSERT_TRUE(rig.writer.Append(rig.Entry(1, 0), rig.Block(1), 5, 100).ok());
+  ASSERT_TRUE(rig.Append(rig.Entry(1, 0), 1, 5, 100).ok());
   EXPECT_EQ(rig.usage.Get(0).live_bytes, 100u);  // caller-specified live bytes
   EXPECT_EQ(rig.usage.Get(0).last_write, 5u);
   EXPECT_EQ(rig.stats.log_bytes_by_kind[static_cast<size_t>(BlockKind::kData)],
@@ -256,7 +257,7 @@ TEST(SegmentWriterTest, LiveBytesAccounted) {
   EXPECT_EQ(rig.stats.new_payload_bytes, WriterRig::kBs);
   EXPECT_EQ(rig.stats.clean_write_bytes, 0u);
   rig.writer.set_cleaning(true);
-  ASSERT_TRUE(rig.writer.Append(rig.Entry(1, 1), rig.Block(1), 6, 100).ok());
+  ASSERT_TRUE(rig.Append(rig.Entry(1, 1), 1, 6, 100).ok());
   EXPECT_EQ(rig.stats.clean_write_bytes, WriterRig::kBs);
 }
 

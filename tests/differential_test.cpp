@@ -78,7 +78,7 @@ TEST_P(DifferentialTest, RandomOpsAgree) {
   Rng rng(GetParam());
   std::vector<std::string> dirs = {""};  // "" denotes the root
   auto random_dir = [&]() { return dirs[rng.NextBelow(dirs.size())]; };
-  auto random_name = [&]() { return "n" + std::to_string(rng.NextBelow(40)); };
+  auto random_name = [&]() { return 'n' + std::to_string(rng.NextBelow(40)); };
 
   for (int step = 0; step < 600; step++) {
     uint64_t op = rng.NextBelow(100);

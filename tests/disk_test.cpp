@@ -119,6 +119,68 @@ TEST(SimDiskTest, BigSequentialIoBeatsManySmallOnes) {
   EXPECT_GT(small_time, big_time * 1.5);
 }
 
+// The pieces of one gather write (a block, two blocks, a block) and the same
+// bytes as one buffer.
+struct GatherFixture {
+  static constexpr uint32_t kBs = 512;
+  std::vector<uint8_t> a = std::vector<uint8_t>(kBs, 0x11);
+  std::vector<uint8_t> b = std::vector<uint8_t>(2 * kBs);
+  std::vector<uint8_t> c = std::vector<uint8_t>(kBs, 0x33);
+  std::span<const uint8_t> parts[3] = {a, b, c};
+  std::vector<uint8_t> whole;
+
+  GatherFixture() {
+    for (size_t i = 0; i < b.size(); i++) {
+      b[i] = static_cast<uint8_t>(i * 7);
+    }
+    for (std::span<const uint8_t> p : parts) {
+      whole.insert(whole.end(), p.begin(), p.end());
+    }
+  }
+};
+
+TEST(WriteVTest, MemDiskAndSimDiskGatherLikeOneWrite) {
+  GatherFixture g;
+  SimDisk gathered(std::make_unique<MemDisk>(g.kBs, 64), DiskModelParams::WrenIV());
+  SimDisk single(std::make_unique<MemDisk>(g.kBs, 64), DiskModelParams::WrenIV());
+  ASSERT_TRUE(single.Write(3, 1, g.a).ok());  // moves the head off block 0
+  ASSERT_TRUE(gathered.Write(3, 1, g.a).ok());
+  ASSERT_TRUE(gathered.WriteV(20, 4, g.parts).ok());
+  ASSERT_TRUE(single.Write(20, 4, g.whole).ok());
+  auto raw = [](SimDisk& d) { return static_cast<MemDisk*>(d.backing())->raw(); };
+  EXPECT_TRUE(std::ranges::equal(raw(gathered), raw(single)));
+  EXPECT_TRUE(std::ranges::equal(raw(gathered).subspan(20 * g.kBs, g.whole.size()), g.whole));
+  const DiskStats& x = gathered.stats();
+  const DiskStats& y = single.stats();
+  EXPECT_EQ(x.writes, y.writes);
+  EXPECT_EQ(x.bytes_written, y.bytes_written);
+  EXPECT_EQ(x.seeks, y.seeks);
+  EXPECT_EQ(x.busy_sec, y.busy_sec);
+  EXPECT_EQ(x.seek_sec, y.seek_sec);
+  // Every part must be whole blocks, and together exactly the request.
+  const std::span<const uint8_t> ragged[] = {std::span<const uint8_t>(g.b).first(100)};
+  EXPECT_EQ(gathered.WriteV(0, 1, ragged).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(gathered.WriteV(0, 3, g.parts).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(WriteVTest, DefaultIssuesOneWrite) {
+  // FaultDisk and CrashDisk override only Write: a gather write reaches each
+  // as one Write (one CrashDisk journal edge), with the parts in order.
+  GatherFixture g;
+  FaultDisk fault(std::make_unique<MemDisk>(g.kBs, 64));
+  ASSERT_TRUE(fault.WriteV(8, 4, g.parts).ok());
+  EXPECT_EQ(fault.counters().writes, 1u);
+  std::vector<uint8_t> back(g.whole.size());
+  ASSERT_TRUE(fault.Read(8, 4, back).ok());
+  EXPECT_EQ(back, g.whole);
+  ASSERT_TRUE(fault.WriteV(8, 1, std::span(g.parts, 1)).ok());
+  EXPECT_EQ(fault.counters().writes, 2u);
+
+  CrashDisk crash(std::make_unique<MemDisk>(g.kBs, 64));
+  ASSERT_TRUE(crash.WriteV(8, 4, g.parts).ok());
+  EXPECT_EQ(crash.writes_seen(), 1u);
+}
+
 TEST(CrashDiskTest, DropsWritesAfterCrash) {
   CrashDisk disk(std::make_unique<MemDisk>(512, 64));
   std::vector<uint8_t> ones(512, 1);

@@ -101,8 +101,8 @@ void Sweep(const std::function<void(Rig&)>& setup, const std::function<void(Rig&
 
 TEST(DirLogTest, UnloggableRecordFailsOneCommitOnly) {
   // At 512-byte blocks a rename between two 255-byte names makes a record
-  // that no dirlog block can hold. The commit fails without appending a
-  // truncated block, and the next one succeeds with the rename in place.
+  // that no dirlog block can hold. The rename is refused before it changes
+  // anything, so no commit fails and the file keeps its old name.
   LfsConfig cfg = SmallConfig();
   cfg.block_size = 512;
   MemDisk disk(cfg.block_size, 8192);
@@ -114,15 +114,14 @@ TEST(DirLogTest, UnloggableRecordFailsOneCommitOnly) {
   const uint64_t dirlog_bytes =
       fs->stats().log_bytes_by_kind[static_cast<size_t>(BlockKind::kDirLog)];
 
-  ASSERT_OK(fs->Rename(from, to));
-  EXPECT_EQ(fs->Sync().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(fs->Rename(from, to).code(), StatusCode::kInvalidArgument);
+  ASSERT_OK(fs->Sync());
   EXPECT_EQ(fs->stats().log_bytes_by_kind[static_cast<size_t>(BlockKind::kDirLog)],
             dirlog_bytes);
-  ASSERT_OK(fs->Sync());
   ASSERT_OK(fs->Unmount());
   fs = std::move(LfsFileSystem::Mount(&disk, cfg)).value();
-  EXPECT_FALSE(fs->Lookup(from).ok());
-  ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> got, fs->ReadFile(to));
+  EXPECT_FALSE(fs->Lookup(to).ok());
+  ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> got, fs->ReadFile(from));
   EXPECT_EQ(got, TestContent(1, 700));
 }
 

@@ -384,6 +384,80 @@ TEST(FaultInjectionTest, FailedCommitKeepsDirLogRecords) {
   EXPECT_EQ(dirlog_bytes[1], dirlog_bytes[0]);
 }
 
+TEST(FaultInjectionTest, FailedCleanerPassKeepsBorrowedVictimBlocks) {
+  // A cleaning pass appends its victims' live data blocks as spans of its
+  // victim buffers. When the pass's writes fail, those blocks wait in the
+  // open partial, so the next pass must write them out before it reads
+  // other victims into the same buffers.
+  LfsConfig cfg = SmallConfig();
+  cfg.policy = CleaningPolicy::kGreedy;
+  cfg.segments_per_pass = 2;
+  cfg.segment_blocks = 64;  // victims of many blocks: a pass fails part way
+  FaultDisk disk(std::make_unique<MemDisk>(cfg.block_size, 4096));
+  auto fs = std::move(LfsFileSystem::Mkfs(&disk, cfg)).value();
+  const Superblock sb = fs->superblock();
+  std::map<std::string, std::vector<uint8_t>> files;
+  auto name = [](int gen, int i) { return "/g" + std::to_string(gen) + "_" + std::to_string(i); };
+  for (int gen = 0; gen < 3; gen++) {
+    for (int i = 0; i < 24; i++) {
+      files[name(gen, i)] = TestContent(100 * gen + i, 4 * cfg.block_size);
+      ASSERT_OK(fs->WriteFile(name(gen, i), files[name(gen, i)]));
+    }
+    ASSERT_OK(fs->Sync());
+  }
+  // Half of the first two generations dies: their segments are half live.
+  for (int gen = 0; gen < 2; gen++) {
+    for (int i = 1; i < 24; i += 2) {
+      ASSERT_OK(fs->Unlink(name(gen, i)));
+      files.erase(name(gen, i));
+    }
+  }
+  ASSERT_OK(fs->Sync());
+  const GovernorDecision greedy{CleaningPolicy::kGreedy, CleaningPolicy::kGreedy};
+  const std::vector<SegNo> first = fs->SelectSegmentsToClean(cfg.segments_per_pass, greedy);
+
+  // Every segment the log could write into refuses I/O: the pass reads its
+  // victims and migrates their live blocks, then its partial writes fail.
+  std::vector<SegNo> writable;
+  for (SegNo seg = 0; seg < sb.nsegments; seg++) {
+    SegState state = fs->seg_usage().Get(seg).state;
+    if (state == SegState::kClean || state == SegState::kActive) {
+      writable.push_back(seg);
+      disk.AddLatentError(sb.SegmentBase(seg), sb.segment_blocks);
+    }
+  }
+  EXPECT_EQ(fs->ForceClean().status().code(), StatusCode::kIoError);
+  for (SegNo seg : writable) {
+    disk.ClearLatentError(sb.SegmentBase(seg), sb.segment_blocks);
+  }
+
+  // Most of the last generation dies without a commit, so the next pass
+  // picks other victims first and reads them into the buffers that the
+  // open partial still refers to.
+  for (int i = 0; i < 24; i++) {
+    if (i % 6 != 0) {
+      ASSERT_OK(fs->Unlink(name(2, i)));
+      files.erase(name(2, i));
+    }
+  }
+  ASSERT_NE(fs->SelectSegmentsToClean(cfg.segments_per_pass, greedy), first);
+  ASSERT_OK(fs->ForceClean().status());
+  ASSERT_OK(fs->Sync());
+  for (const auto& [path, content] : files) {
+    ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> got, fs->ReadFile(path));
+    EXPECT_EQ(got, content) << path;
+  }
+  ASSERT_OK(fs->Unmount());
+  fs.reset();
+  ASSERT_OK_AND_ASSIGN(CheckReport report, CheckLfsImage(&disk));
+  EXPECT_EQ(report.errors, 0u) << report.Summary();
+  fs = std::move(LfsFileSystem::Mount(&disk, cfg)).value();
+  for (const auto& [path, content] : files) {
+    ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> got, fs->ReadFile(path));
+    EXPECT_EQ(got, content) << path;
+  }
+}
+
 TEST(FaultInjectionTest, DoubleCheckpointFailureEntersDegradedReadOnly) {
   LfsConfig cfg = SmallConfig();
   FaultDisk disk(std::make_unique<MemDisk>(cfg.block_size, 4096));
